@@ -28,7 +28,11 @@ Two sections:
   N epochs under each chunking mode.  The headline metric is physical
   growth per epoch after the first, as a fraction of the first epoch's
   footprint — chunked modes must land *well* under the 1.0x that storing
-  each epoch whole costs, without regressing record wall time.
+  each epoch whole costs.  Record wall per mode is reported, not asserted:
+  since incompressible chunks skip the codec, what is left is a few
+  milliseconds of fixed per-chunk work that no ratio of two such walls
+  can gate on (``record_overhead_ratio@ckpt_heavy`` in ``perfbench/`` is
+  the timing gate).
 
 Any previously committed ``BENCH_storage.json`` acts as a regression
 baseline: the delta growth ratios must not drift materially above the
@@ -367,8 +371,8 @@ def assert_acceptance(results: dict) -> None:
     assert dedup["dedup_ratio"] > 1.5, dedup
 
     # Delta-checkpoint acceptance: chunked epochs cost a small fraction
-    # of a whole-payload epoch in new physical bytes, at comparable
-    # record wall time, and never regress vs the committed baseline.
+    # of a whole-payload epoch in new physical bytes and never regress vs
+    # the committed baseline.
     delta = results["delta"]
     for mode in ("off", "fixed", "cdc"):
         row = delta[mode]
@@ -379,7 +383,6 @@ def assert_acceptance(results: dict) -> None:
     assert delta["off"]["stored_growth_per_epoch_ratio"] > 0.5, delta
     for mode in ("fixed", "cdc"):
         assert delta[mode]["stored_growth_per_epoch_ratio"] < 0.5, delta
-        assert delta[mode]["wall_ratio_vs_off"] < 1.5, delta
     assert not results["summary"]["delta_regressions"], (
         results["summary"]["delta_regressions"])
 

@@ -175,9 +175,10 @@ class FlorConfig:
     codec:
         Compression codec for checkpoint payloads (when
         ``compress_checkpoints`` is on): ``"gzip"`` (the default, the
-        paper's codec), ``"zlib"``, ``"lzma"``, ``"raw"`` (framing only),
-        or ``"auto"`` — the adaptive controller picks per payload from
-        its measured per-codec throughput/ratio cost model.
+        paper's codec), ``"zlib"``, ``"lzma"`` or ``"raw"`` (framing
+        only, never compress).  Every codec skips chunks / payloads a
+        cheap content sample finds incompressible (float tensor bytes)
+        and stores those raw-framed; compressible state still compresses.
     codec_level:
         Compression level passed to the codec (codec-specific default
         when ``None``; clamped to the codec's valid range).
@@ -267,7 +268,7 @@ class FlorConfig:
     _VALID_REPLAY_SCHEDULERS = ("uniform", "static", "dynamic")
     _VALID_QUERY_PLANNERS = ("cost", "replay_all")
     _VALID_CHUNKING = ("off", "fixed", "cdc")
-    _VALID_CODECS = ("auto", "raw", "gzip", "zlib", "lzma")
+    _VALID_CODECS = ("raw", "gzip", "zlib", "lzma")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "home", Path(self.home).expanduser())
@@ -319,6 +320,11 @@ class FlorConfig:
         if not isinstance(self.dedup, bool):
             raise ConfigError(f"dedup must be a bool, got {self.dedup!r}")
         self._check_choice("chunking", self.chunking, self._VALID_CHUNKING)
+        if self.codec == "auto":
+            raise ConfigError(
+                'codec="auto" was removed: every codec now samples each '
+                "chunk / payload and stores incompressible bytes raw-framed "
+                f"on its own; pick one of {self._VALID_CODECS}")
         self._check_choice("codec", self.codec, self._VALID_CODECS)
         if (not isinstance(self.chunk_nbytes, int)
                 or isinstance(self.chunk_nbytes, bool)

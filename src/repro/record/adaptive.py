@@ -26,50 +26,11 @@ from dataclasses import dataclass, field
 
 from ..config import DEFAULT_EPSILON, DEFAULT_SCALING_FACTOR
 
-__all__ = ["BlockStats", "CheckpointDecision", "CodecModel",
-           "AdaptiveController"]
+__all__ = ["BlockStats", "CheckpointDecision", "AdaptiveController"]
 
 #: Throughput assumed before any materialization has been observed
 #: (conservative serialized-bytes-per-second figure for pickling + disk).
 DEFAULT_THROUGHPUT_BYTES_PER_SECOND = 200e6
-
-#: Codec cost-model priors: (compress throughput bytes/s, compression
-#: ratio) before any sample has been observed.  Ballpark figures for one
-#: CPU core on float32 tensor bytes; the EWMA converges to the machine's
-#: real numbers within a few checkpoints.
-CODEC_PRIORS = {
-    "raw": (2e9, 1.0),
-    "gzip": (40e6, 2.0),
-    "zlib": (45e6, 2.0),
-    "lzma": (2.5e6, 3.0),
-}
-
-#: Disk write bandwidth assumed before any write has been observed.
-DEFAULT_WRITE_BANDWIDTH_BYTES_PER_SECOND = 500e6
-
-#: Codecs ``choose_codec`` considers by default.  lzma is opt-in: even at
-#: preset 1 its throughput is an order of magnitude below the others, so
-#: it only wins on very slow storage.
-DEFAULT_CODEC_CANDIDATES = ("gzip", "zlib", "raw")
-
-
-@dataclass
-class CodecModel:
-    """Online estimate of one codec's compress throughput and ratio."""
-
-    throughput: float
-    ratio: float
-    observations: int = 0
-
-    def observe(self, raw_nbytes: int, seconds: float,
-                compressed_nbytes: int) -> None:
-        if raw_nbytes <= 0 or compressed_nbytes <= 0:
-            return
-        if seconds > 0:
-            self.throughput = (0.7 * self.throughput
-                               + 0.3 * (raw_nbytes / seconds))
-        self.ratio = 0.7 * self.ratio + 0.3 * (raw_nbytes / compressed_nbytes)
-        self.observations += 1
 
 
 @dataclass
@@ -116,9 +77,6 @@ class AdaptiveController:
     iteration_seconds: dict[int, float] = field(default_factory=dict)
     _throughput: float = DEFAULT_THROUGHPUT_BYTES_PER_SECOND
     _observed_ratios: list[float] = field(default_factory=list)
-    #: Per-codec compress-cost models (lazily seeded from CODEC_PRIORS).
-    codec_models: dict[str, CodecModel] = field(default_factory=dict)
-    _write_bandwidth: float = DEFAULT_WRITE_BANDWIDTH_BYTES_PER_SECOND
     #: EWMA of measured per-checkpoint restore seconds.  Replay sessions
     #: persist it back into ``iteration_stats`` (telemetry on), replacing
     #: the ``scaling_factor * mean_materialize`` prior in the query
@@ -177,62 +135,6 @@ class AdaptiveController:
         if seconds > 0 and nbytes > 0:
             observed = nbytes / seconds
             self._throughput = 0.7 * self._throughput + 0.3 * observed
-
-    # ------------------------------------------------------------------ #
-    # Codec cost model (feeds the store's ``codec="auto"`` chooser)
-    # ------------------------------------------------------------------ #
-    def codec_model(self, codec: str) -> CodecModel:
-        model = self.codec_models.get(codec)
-        if model is None:
-            throughput, ratio = CODEC_PRIORS.get(codec, (50e6, 1.5))
-            model = self.codec_models[codec] = CodecModel(
-                throughput=throughput, ratio=ratio)
-        return model
-
-    def observe_codec(self, codec: str, raw_nbytes: int, seconds: float,
-                      compressed_nbytes: int) -> None:
-        """Record one measured compress run (the store's codec_observer)."""
-        self.codec_model(codec).observe(raw_nbytes, seconds,
-                                        compressed_nbytes)
-
-    def observe_write_bandwidth(self, nbytes: int, seconds: float) -> None:
-        """Refine the storage bandwidth half of the codec cost model."""
-        if nbytes > 0 and seconds > 0:
-            self._write_bandwidth = (0.7 * self._write_bandwidth
-                                     + 0.3 * (nbytes / seconds))
-
-    def codec_cost_seconds(self, codec: str, nbytes: int) -> float:
-        """Expected seconds to compress and write ``nbytes`` with ``codec``.
-
-        Two serial stages: push the raw bytes through the codec, then push
-        the compressed bytes to storage — so a slow codec with a great
-        ratio wins exactly when storage bandwidth is the bottleneck.
-        """
-        model = self.codec_model(codec)
-        compress_seconds = nbytes / max(model.throughput, 1.0)
-        write_seconds = ((nbytes / max(model.ratio, 1e-6))
-                         / max(self._write_bandwidth, 1.0))
-        return compress_seconds + write_seconds
-
-    def choose_codec(self, nbytes: int,
-                     candidates: tuple[str, ...] = DEFAULT_CODEC_CANDIDATES
-                     ) -> str:
-        """The cheapest codec for a payload of ``nbytes`` (the chooser)."""
-        if nbytes <= 0:
-            return candidates[0]
-        return min(candidates,
-                   key=lambda codec: self.codec_cost_seconds(codec, nbytes))
-
-    def codec_summary(self) -> dict[str, dict]:
-        """Per-codec model state, suitable for storing as run metadata."""
-        return {
-            codec: {
-                "throughput_bytes_per_second": round(model.throughput, 1),
-                "ratio": round(model.ratio, 4),
-                "observations": model.observations,
-            }
-            for codec, model in sorted(self.codec_models.items())
-        }
 
     def observe_restore(self, block_id: str, restore_seconds: float,
                         materialize_seconds: float | None = None) -> None:

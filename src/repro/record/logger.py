@@ -61,12 +61,20 @@ def _jsonify(value):
 
 
 class LogManager:
-    """Appends log records to a file and keeps them in memory."""
+    """Appends log records to a file and keeps them in memory.
+
+    Lines go through one buffered append handle, opened by the first
+    :meth:`log`: an open/append/close per call is a syscall round on the
+    training thread (and a GIL hand-off to a busy spool worker).  The
+    owner calls :meth:`flush` where lines must be on disk — the session
+    does at every main-loop iteration end — and :meth:`close` when done.
+    """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self.records: list[LogRecord] = []
         self._sequence = 0
+        self._handle = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             # Truncate any stale log from a previous run with the same id.
@@ -79,9 +87,21 @@ class LogManager:
         self._sequence += 1
         self.records.append(record)
         if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(record.to_json() + "\n")
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle.write(record.to_json() + "\n")
         return record
+
+    def flush(self) -> None:
+        """Push buffered lines to the log file."""
+        if self._handle is not None:
+            self._handle.flush()
+
+    def close(self) -> None:
+        """Flush and release the file handle (a later ``log`` reopens it)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def values(self, name: str) -> list:
         """All logged values for ``name``, in order."""

@@ -147,6 +147,8 @@ def _quiesce_parent_session(start_method: str) -> str:
         return start_method
     session.materializer.flush()
     session.store.flush()
+    # A forked child must not inherit buffered log lines it could write again.
+    session.logs.flush()
     if (start_method == "fork"
             and getattr(session.materializer, "spool", None) is not None):
         return "spawn"

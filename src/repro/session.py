@@ -105,12 +105,6 @@ class Session:
             epsilon=self.config.epsilon,
             scaling_factor=self.config.scaling_factor,
             enabled=self.config.adaptive_checkpointing)
-        # Feed per-codec compression timings into the controller's cost
-        # model; with codec="auto" the controller also picks the codec
-        # per payload from that model.
-        self.store.codec_observer = self.adaptive.observe_codec
-        if self.config.codec == "auto":
-            self.store.codec_chooser = self.adaptive.choose_codec
         # Storage lifecycle: retention + payload GC, run on the spool's
         # background workers (gc_interval) and at session close.
         self.lifecycle = None
@@ -301,6 +295,8 @@ class Session:
     def _end_iteration(self, index: int) -> None:
         if self.phase is not Phase.REPLAY_INIT:
             self.iterations_run.append(index)
+        # An abandoned session loses at most the open iteration's lines.
+        self.logs.flush()
         self.current_iteration = None
         self._iteration_occurrences.clear()
         self._iteration_span.end()
@@ -355,6 +351,7 @@ class Session:
 
     def record_log_records(self):
         """The record-phase log of this run (read from disk)."""
+        self.logs.flush()
         return read_log(self.run_dir / "record.log")
 
     def close(self) -> None:
@@ -362,6 +359,7 @@ class Session:
         if self._closed:
             return
         self._closed = True
+        self.logs.close()
         self.materializer.close()
         if self.mode is Mode.RECORD:
             self.store.set_metadata("run_id", self.run_id)

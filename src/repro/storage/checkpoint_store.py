@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 from ..exceptions import (CheckpointNotFoundError, SerializationError,
@@ -73,12 +74,6 @@ class CheckpointStore:
         self.chunk_nbytes = chunk_nbytes
         self.codec = codec
         self.codec_level = codec_level
-        #: Session wiring points for ``codec="auto"``: ``codec_chooser``
-        #: maps a payload size to a codec name (the adaptive controller's
-        #: cost model), ``codec_observer`` feeds measured (codec,
-        #: raw_nbytes, seconds, compressed_nbytes) samples back.
-        self.codec_chooser = None
-        self.codec_observer = None
         self.backend: StorageBackend = resolve_backend(
             self.run_dir, backend, num_shards=num_shards, dedup=dedup)
 
@@ -183,23 +178,12 @@ class CheckpointStore:
                 and self.backend.object_store() is not None)
 
     def resolve_codec(self, nbytes: int = 0) -> str:
-        """The concrete codec for a payload of ``nbytes`` serialized bytes.
+        """The codec this store asks :func:`compression.compress` for.
 
-        ``codec="auto"`` defers to the wired ``codec_chooser`` (the
-        adaptive controller's per-codec cost model) and falls back to
-        gzip, the paper's codec, until one is wired.
+        The same for every payload size; whether a given chunk or payload
+        is worth running it on is ``compress``'s content probe's call.
         """
-        if self.codec != "auto":
-            return self.codec
-        if self.codec_chooser is not None:
-            return self.codec_chooser(nbytes)
-        return "gzip"
-
-    def _observe_codec(self, codec: str, raw_nbytes: int, seconds: float,
-                       compressed_nbytes: int) -> None:
-        if self.codec_observer is not None and raw_nbytes > 0:
-            self.codec_observer(codec, raw_nbytes, seconds,
-                                compressed_nbytes)
+        return self.codec
 
     def write_payload(self, block_id: str, execution_index: int,
                       serialized: SerializedCheckpoint) -> CheckpointRecord:
@@ -227,16 +211,11 @@ class CheckpointStore:
         """
         if not self.compress:
             return payload
-        start = monotonic()
         with get_tracer().span("storage.encode", nbytes=len(payload)) as span:
-            result = compression.compress(
-                payload, level=self.codec_level,
-                codec=self.resolve_codec(len(payload)))
+            result = compression.compress(payload, level=self.codec_level,
+                                          codec=self.codec)
             span.set(codec=result.codec)
         get_metrics().inc(f"storage.codec.{result.codec}")
-        self._observe_codec(result.codec, result.raw_nbytes,
-                            monotonic() - start,
-                            result.compressed_nbytes)
         return result.data
 
     def write_encoded(self, block_id: str, execution_index: int,
@@ -284,8 +263,7 @@ class CheckpointStore:
         objects = self.backend.object_store()
         payload = serialized.data
         digest = digest_bytes(payload)
-        codec = (self.resolve_codec(serialized.nbytes)
-                 if self.compress else "raw")
+        codec = self.codec if self.compress else "raw"
         start = monotonic()
         span = get_tracer().span("storage.chunk", block_id=block_id,
                                  execution_index=execution_index,
@@ -293,9 +271,11 @@ class CheckpointStore:
         recipe: list[str] = []
         stored_nbytes = 0
         reused_chunks = 0
-        compressed_raw = 0
         compressed_out = 0
-        compress_seconds = 0.0
+        bypassed_nbytes = 0
+        # New chunks by the codec their frame carries: the content probe
+        # may frame chunks of one checkpoint differently.
+        framed: Counter[str] = Counter()
         with span:
             for view in chunk_payload(payload, mode=self.chunking,
                                       chunk_nbytes=self.chunk_nbytes,
@@ -307,29 +287,29 @@ class CheckpointStore:
                     # Chunk blobs are ALWAYS framed (raw codec when the store
                     # does not compress): reassembly decodes by frame id, so
                     # chunk content can never be mistaken for a codec magic.
-                    encode_start = monotonic()
-                    result = compression.compress(bytes(view),
+                    result = compression.compress(view,
                                                   level=self.codec_level,
                                                   codec=codec)
-                    compress_seconds += monotonic() - encode_start
-                    compressed_raw += result.raw_nbytes
+                    framed[result.codec] += 1
+                    if result.codec != codec:
+                        bypassed_nbytes += result.raw_nbytes
                     compressed_out += result.compressed_nbytes
                     objects.put(chunk_digest, result.data)
                     blob_nbytes = result.compressed_nbytes
                 else:
                     reused_chunks += 1
                 stored_nbytes += blob_nbytes
-            span.set(chunks=len(recipe), reused=reused_chunks)
+            span.set(chunks=len(recipe), reused=reused_chunks,
+                     raw_chunks=framed["raw"],
+                     bypassed_nbytes=bypassed_nbytes)
         write_seconds = monotonic() - start
         metrics = get_metrics()
         if metrics.enabled:
             metrics.inc("storage.chunks_reused", reused_chunks)
             metrics.inc("storage.chunks_new", len(recipe) - reused_chunks)
             metrics.inc("storage.bytes_stored", compressed_out)
-            metrics.inc(f"storage.codec.{codec}")
-        if compressed_raw:
-            self._observe_codec(codec, compressed_raw, compress_seconds,
-                                compressed_out)
+            for name, chunks in framed.items():
+                metrics.inc(f"storage.codec.{name}", chunks)
 
         return CheckpointRecord(
             block_id=block_id,

@@ -263,7 +263,7 @@ class AsyncSpool:
         else:
             future = self._executor.submit(
                 _serialize_and_compress, snapshots, self.store.compress,
-                self.store.resolve_codec(), self.store.codec_level)
+                self.store.codec, self.store.codec_level)
             encoded = True
         future.add_done_callback(
             lambda fut: self._commit_future(block_id, execution_index, fut,

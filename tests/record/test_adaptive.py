@@ -206,54 +206,3 @@ class TestAsyncThroughputFeedback:
         assert estimate > elapsed / 100
         assert controller.block("train").checkpoints == 3
         assert controller.block("train").total_background_seconds > 0
-
-
-class TestCodecCostModel:
-    def test_priors_rank_raw_fastest_on_fast_storage(self):
-        controller = AdaptiveController()
-        controller._write_bandwidth = 100e9  # storage is effectively free
-        assert controller.choose_codec(100_000_000,
-                                       candidates=("gzip", "raw")) == "raw"
-
-    def test_slow_storage_rewards_compression(self):
-        controller = AdaptiveController()
-        controller._write_bandwidth = 1e6  # 1 MB/s: every byte hurts
-        assert controller.choose_codec(100_000_000,
-                                       candidates=("gzip", "raw")) == "gzip"
-
-    def test_observations_override_priors(self):
-        controller = AdaptiveController()
-        controller._write_bandwidth = 1e6
-        # Measured: gzip achieves no compression here (random bytes), so
-        # the write stage stops subsidizing its compress cost and raw —
-        # with its enormous throughput — wins.
-        for _ in range(40):
-            controller.observe_codec("gzip", 1_000_000, 0.025, 999_000)
-        assert controller.codec_model("gzip").ratio < 1.1
-        assert controller.choose_codec(1_000_000,
-                                       candidates=("gzip", "raw")) == "raw"
-
-    def test_observe_codec_updates_throughput_ewma(self):
-        controller = AdaptiveController()
-        before = controller.codec_model("gzip").throughput
-        for _ in range(30):
-            controller.observe_codec("gzip", 10_000_000, 0.05, 5_000_000)
-        after = controller.codec_model("gzip").throughput
-        assert after != before
-        assert after == pytest.approx(200e6, rel=0.3)
-
-    def test_zero_nbytes_payload_picks_first_candidate(self):
-        controller = AdaptiveController()
-        assert controller.choose_codec(0) == "gzip"
-
-    def test_unknown_codec_gets_generic_prior(self):
-        controller = AdaptiveController()
-        model = controller.codec_model("snappy")
-        assert model.throughput > 0 and model.ratio > 0
-
-    def test_codec_summary_reports_observed_models(self):
-        controller = AdaptiveController()
-        controller.observe_codec("zlib", 1000, 0.001, 400)
-        summary = controller.codec_summary()
-        assert summary["zlib"]["observations"] == 1
-        assert summary["zlib"]["ratio"] > 0

@@ -417,29 +417,3 @@ class TestChunkCrashConsistency:
         assert_crash_consistent(reopened, home)
         restored = {s.name: s for s in reopened.get("train", 2)}
         assert restored["epoch"].payload == 2.0
-
-
-class TestAutoCodec:
-    """``codec="auto"`` resolves per payload through the wired chooser."""
-
-    def test_chooser_picks_the_codec_and_observer_sees_samples(self, home):
-        store = open_store(home, "local", codec="auto")
-        chosen, observed = [], []
-
-        def chooser(nbytes):
-            chosen.append(nbytes)
-            return "zlib"
-
-        store.codec_chooser = chooser
-        store.codec_observer = (
-            lambda codec, raw, seconds, compressed:
-                observed.append((codec, raw, compressed)))
-        store.put("train", 0, model_snapshots(0.0))
-        assert chosen and all(nbytes > 0 for nbytes in chosen)
-        assert observed and all(codec == "zlib" for codec, _, _ in observed)
-        restored = {s.name: s for s in store.get("train", 0)}
-        assert restored["epoch"].payload == 0.0
-
-    def test_without_a_chooser_auto_falls_back_to_gzip(self, home):
-        store = open_store(home, "local", codec="auto")
-        assert store.resolve_codec(4096) == "gzip"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import textwrap
 
+import numpy as np
 import pytest
 
 import repro
@@ -20,6 +21,8 @@ from repro.config import FlorConfig
 from repro.record.recorder import record_source
 from repro.replay.scheduler import load_iteration_costs
 from repro.storage.checkpoint_store import CheckpointStore
+from repro.storage.compression import codec_of
+from repro.storage.serializer import snapshot_value
 from repro.telemetry import (METADATA_KEY, configure, document_spans,
                              get_metrics, get_tracer, walk_children)
 
@@ -146,3 +149,28 @@ class TestCostFeedback:
         assert observed > 0.0
         # The measured EWMA replaces the prior in the planner's cost model.
         assert costs.restore_seconds == pytest.approx(observed)
+
+
+class TestChunkedWriteAccounting:
+    def test_chunks_are_counted_by_the_codec_their_frame_carries(
+            self, enabled_telemetry, tmp_path):
+        """The content probe frames chunks of one checkpoint differently."""
+        chunk = 64 * 1024
+        rng = np.random.default_rng(0)
+        store = CheckpointStore(tmp_path / "run", chunking="fixed",
+                                chunk_nbytes=chunk)
+        store.put("train", 0, [
+            snapshot_value("backbone", rng.standard_normal(
+                2 * chunk).astype(np.float32)),                 # 8 chunks
+            snapshot_value("momentum", np.zeros(2 * chunk, np.float32))])
+        objects = store.backend.object_store()
+        frames = [codec_of(objects.get(digest))
+                  for digest in objects.digests()]
+        counters = get_metrics().snapshot()["counters"]
+        assert counters["storage.codec.raw"] == frames.count("raw") == 8
+        assert counters["storage.codec.gzip"] == frames.count("gzip") >= 1
+        span = next(span for span in enabled_telemetry.spans()
+                    if span.name == "storage.chunk")
+        assert span.attrs["codec"] == "gzip"
+        assert span.attrs["raw_chunks"] == 8
+        assert span.attrs["bypassed_nbytes"] == 8 * chunk
