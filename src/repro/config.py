@@ -45,12 +45,6 @@ DEFAULT_SPOOL_QUEUE_SIZE = 64
 #: Default number of manifest rows per batched commit.
 DEFAULT_MANIFEST_BATCH_SIZE = 16
 
-#: Default parallel-replay scheduling mode (see ``replay_scheduler``).
-DEFAULT_REPLAY_SCHEDULER = "static"
-
-#: Default target iterations per dynamic-replay work-queue chunk.
-DEFAULT_REPLAY_CHUNK_SIZE = 4
-
 #: Default process-pool size for hindsight-query replay jobs.
 DEFAULT_QUERY_WORKERS = 2
 
@@ -127,17 +121,6 @@ class FlorConfig:
         Manifest rows the spool buffers before one batched transactional
         commit.  Larger batches amortize commit overhead; ``flush()``
         commits any remainder.
-    replay_scheduler:
-        Parallel-replay scheduling mode.  ``"static"`` (the default) gives
-        each worker a checkpoint-aligned contiguous segment balanced by
-        estimated recompute + restore cost; ``"dynamic"`` has workers pull
-        checkpoint-aligned chunks from a shared work queue, so stragglers
-        no longer bound wall time; ``"uniform"`` keeps the paper's
-        count-balanced split (for ablation).
-    replay_chunk_size:
-        Target iterations per work-queue chunk in ``"dynamic"`` scheduling.
-        Sparse checkpointing can force larger chunks (chunks always start
-        at restorable iterations).
     query_workers:
         Process-pool size for the hindsight query engine's batched replay
         jobs.  Jobs from *different* runs (and disjoint spans of the same
@@ -147,12 +130,6 @@ class FlorConfig:
         When True (the default), values computed by query-driven replay are
         written back through the run's storage backend, so repeated and
         overlapping queries are served from storage instead of recompute.
-    query_planner:
-        ``"cost"`` (the default) resolves each requested value to the
-        cheapest source — already-logged read, memoized read, or a
-        checkpoint-aligned replay span — using the recorded per-iteration
-        timing stats.  ``"replay_all"`` forces a full replay of every
-        queried run (the ablation baseline the benchmark compares against).
     dedup:
         Content-address checkpoint payloads (the default): one physical
         blob per payload digest in the home-shared object store, so
@@ -242,11 +219,8 @@ class FlorConfig:
     spool_queue_size: int = DEFAULT_SPOOL_QUEUE_SIZE
     spool_mode: str = "thread"
     manifest_batch_size: int = DEFAULT_MANIFEST_BATCH_SIZE
-    replay_scheduler: str = DEFAULT_REPLAY_SCHEDULER
-    replay_chunk_size: int = DEFAULT_REPLAY_CHUNK_SIZE
     query_workers: int = DEFAULT_QUERY_WORKERS
     query_memoize: bool = True
-    query_planner: str = "cost"
     service_workers: int = DEFAULT_SERVICE_WORKERS
     service_queue_size: int = DEFAULT_SERVICE_QUEUE_SIZE
     service_drain_seconds: float = DEFAULT_SERVICE_DRAIN_SECONDS
@@ -265,8 +239,6 @@ class FlorConfig:
                             "shared_memory", "spool")
     _VALID_BACKENDS = ("local", "memory", "sharded")
     _VALID_SPOOL_MODES = ("thread", "process")
-    _VALID_REPLAY_SCHEDULERS = ("uniform", "static", "dynamic")
-    _VALID_QUERY_PLANNERS = ("cost", "replay_all")
     _VALID_CHUNKING = ("off", "fixed", "cdc")
     _VALID_CODECS = ("raw", "gzip", "zlib", "lzma")
 
@@ -278,7 +250,7 @@ class FlorConfig:
         """Check every knob and raise :class:`ConfigError` on the first bad one.
 
         All validation lives here (not scattered across the record/replay
-        machinery), so a typo'd enum value like ``replay_scheduler="statik"``
+        machinery), so a typo'd enum value like ``chunking="fixd"``
         fails at construction with a message naming the knob and its valid
         values — instead of deep inside a replay worker.  Returns ``self``
         so callers can chain ``FlorConfig(...).validate()``.
@@ -296,17 +268,12 @@ class FlorConfig:
                            self._VALID_BACKENDS)
         self._check_choice("spool_mode", self.spool_mode,
                            self._VALID_SPOOL_MODES)
-        self._check_choice("replay_scheduler", self.replay_scheduler,
-                           self._VALID_REPLAY_SCHEDULERS)
-        self._check_choice("query_planner", self.query_planner,
-                           self._VALID_QUERY_PLANNERS)
         self._check_at_least_one("fork_batch_size", self.fork_batch_size)
         self._check_at_least_one("storage_shards", self.storage_shards)
         self._check_at_least_one("spool_workers", self.spool_workers)
         self._check_at_least_one("spool_queue_size", self.spool_queue_size)
         self._check_at_least_one("manifest_batch_size",
                                  self.manifest_batch_size)
-        self._check_at_least_one("replay_chunk_size", self.replay_chunk_size)
         self._check_at_least_one("query_workers", self.query_workers)
         self._check_at_least_one("service_workers", self.service_workers)
         self._check_at_least_one("service_queue_size",

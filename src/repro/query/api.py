@@ -362,7 +362,6 @@ def prepare_query(values: str | Sequence[str],
                             memo_index=memo.load(),
                             costs=costs,
                             replay_possible=replay_possible,
-                            mode=config.query_planner,
                             analysis_index=analysis_index,
                             analysis_only_names=frozenset(
                                 name for name in pure_probes

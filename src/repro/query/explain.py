@@ -132,7 +132,6 @@ class ExplainReport:
     values: tuple[str, ...] = ()
     runs: list[RunExplain] = field(default_factory=list)
     planner_seconds: float = 0.0
-    planner_mode: str = "cost"
 
     # ------------------------------------------------------------------ #
     # Aggregates (the numbers QueryStats would report after execution)
@@ -177,7 +176,6 @@ class ExplainReport:
 
     def render_text(self) -> str:
         lines = [f"explain values={','.join(self.values)} "
-                 f"mode={self.planner_mode} "
                  f"planner={self.planner_seconds:.3f}s"]
         for run in self.runs:
             lines.extend(run.render())
@@ -187,7 +185,6 @@ class ExplainReport:
     def to_payload(self) -> dict:
         return {"values": list(self.values),
                 "planner_seconds": self.planner_seconds,
-                "planner_mode": self.planner_mode,
                 "runs": [run.to_dict() for run in self.runs]}
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -199,10 +196,11 @@ class ExplainReport:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ExplainReport":
+        # Payloads written before the planner had a single mode also carry
+        # a ``planner_mode`` key; it is ignored.
         return cls(values=tuple(payload.get("values", ())),
                    planner_seconds=float(
                        payload.get("planner_seconds", 0.0)),
-                   planner_mode=payload.get("planner_mode", "cost"),
                    runs=[RunExplain.from_dict(row)
                          for row in payload.get("runs", [])])
 
@@ -268,7 +266,6 @@ def explain(values: str | Sequence[str],
             values=prepared.names,
             runs=[_explain_run(run_plan)
                   for run_plan in prepared.plan.runs],
-            planner_seconds=prepared.planner_seconds,
-            planner_mode=config.query_planner)
+            planner_seconds=prepared.planner_seconds)
     finally:
         prepared.close()

@@ -240,7 +240,6 @@ def plan_run(entry: RunEntry, names: Sequence[str],
              memo_index: dict[str, dict[int, object]],
              costs: IterationCosts,
              replay_possible: bool,
-             mode: str = "cost",
              analysis_index: dict[tuple[str, int], object] | None = None,
              analysis_only_names: frozenset[str] = frozenset()) -> RunPlan:
     """Resolve one run's cells and coalesce the remainder into spans.
@@ -250,8 +249,7 @@ def plan_run(entry: RunEntry, names: Sequence[str],
     source.  ``replay_possible`` is False when the query supplied no probe
     source — replaying the recorded script verbatim cannot produce values
     it never logged, so unresolved cells stay unresolved instead of
-    scheduling useless jobs.  ``mode="replay_all"`` (the ablation baseline)
-    skips span coalescing and replays the whole recorded range.
+    scheduling useless jobs.
 
     ``analysis_index`` holds values the purity analysis already evaluated
     from the record log (``PURE_LOGGED`` probes); cells found there cost no
@@ -286,12 +284,5 @@ def plan_run(entry: RunEntry, names: Sequence[str],
                     unresolved.add(iteration)
     if unresolved and replay_possible:
         plan.replay_iterations = tuple(sorted(unresolved))
-        if mode == "replay_all":
-            full = range(entry.main_loop_total)
-            plan.spans = [_make_span(0, entry.main_loop_total, costs)] \
-                if entry.main_loop_total > 0 else []
-            plan.replay_iterations = tuple(full)
-        else:
-            plan.spans = plan_spans(unresolved, entry.aligned_iterations,
-                                    costs)
+        plan.spans = plan_spans(unresolved, entry.aligned_iterations, costs)
     return plan

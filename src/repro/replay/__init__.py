@@ -7,8 +7,7 @@ from .partition import WorkSegment, partition_indices, segment_sizes
 from .probe import SourceDiff, detect_probed_blocks, diff_sources
 from .replayer import ReplayResult, replay_script
 from .scheduler import (InitPlan, IterationCosts, ReplayScheduler,
-                        aligned_checkpoints, plan_chunks,
-                        plan_static_segments)
+                        aligned_checkpoints, plan_static_segments)
 
 __all__ = [
     "WorkSegment", "partition_indices", "segment_sizes",
@@ -17,5 +16,5 @@ __all__ = [
     "WorkerResult", "run_worker", "run_parallel_replay",
     "ReplayResult", "replay_script",
     "InitPlan", "IterationCosts", "ReplayScheduler",
-    "aligned_checkpoints", "plan_chunks", "plan_static_segments",
+    "aligned_checkpoints", "plan_static_segments",
 ]

@@ -2,16 +2,15 @@
 
 Each worker executes the *same* instrumented replay script; the Flor
 generator gives worker ``pid`` its scheduler-issued share of main-loop
-iterations, and checkpoints break the cross-iteration dependencies.  Under
-static scheduling workers neither communicate nor coordinate (every worker
-derives the same checkpoint-aligned plan); under dynamic scheduling they
-share only a SQLite-backed chunk queue provisioned here.  On the paper's
-testbed each worker owned one GPU; here each worker is a separate OS
-process.
+iterations, and checkpoints break the cross-iteration dependencies.
+Workers neither communicate nor coordinate: every worker derives the same
+checkpoint-aligned plan from the store and replays its own segment of it.
+On the paper's testbed each worker owned one GPU; here each worker is a
+separate OS process.
 
 Fork safety: the parent process may hold a live Flor session (an open
 WAL-mode SQLite connection, background spool worker threads) when this
-module forks its worker pool.  ``run_parallel_replay`` quiesces that state
+module forks its worker pool.  The pool dispatch quiesces that state
 first — flushing and closing the parent's store so children do not inherit
 an open connection, and switching to the ``spawn`` start method when an
 async spool is active, since its worker threads do not survive ``fork``.
@@ -24,14 +23,12 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import traceback
-import uuid
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..config import FlorConfig
 from ..exceptions import ReplayError
 from ..modes import InitStrategy, Mode
-from ..record.logger import LogRecord, read_log
+from ..record.logger import LogRecord
 from ..session import Session, get_active_session
 from .. import telemetry
 from ..utils.timing import monotonic
@@ -61,16 +58,14 @@ class WorkerResult:
 def run_worker(run_id: str, instrumented_source: str, config: FlorConfig,
                pid: int, num_workers: int, init_strategy: InitStrategy,
                probed_blocks: set[str],
-               sample_iterations: list[int] | None = None,
-               replay_queue_path: str | None = None) -> WorkerResult:
+               sample_iterations: list[int] | None = None) -> WorkerResult:
     """Execute one worker's share of a parallel replay (in this process)."""
     start = monotonic()
     session = Session(run_id=run_id, mode=Mode.REPLAY, config=config,
                       pid=pid, num_workers=num_workers,
                       init_strategy=init_strategy,
                       probed_blocks=probed_blocks,
-                      sample_iterations=sample_iterations,
-                      replay_queue_path=replay_queue_path)
+                      sample_iterations=sample_iterations)
     exec_globals = {"__name__": "__main__",
                     "__file__": f"replay-p{pid}of{num_workers}.py"}
     try:
@@ -108,28 +103,34 @@ class ReplayJobSpec:
     num_workers: int = 1
 
 
-def _worker_entry(args: tuple) -> dict:
-    """Multiprocessing entry point; returns a picklable summary."""
-    (run_id, instrumented_source, config, pid, num_workers, init_strategy,
-     probed_blocks, replay_queue_path) = args
+def _job_args(spec: ReplayJobSpec, config: FlorConfig) -> tuple:
+    """:func:`run_worker` arguments of one query replay job."""
+    return (spec.run_id, spec.instrumented_source, config, spec.pid,
+            spec.num_workers, InitStrategy.WEAK, set(spec.probed_blocks),
+            list(spec.sample_iterations))
+
+
+def _pool_entry(args: tuple) -> WorkerResult:
+    """Process-pool entry of every replay worker: :func:`run_worker` on ``args``.
+
+    The result travels back through the pool instead of being re-read from
+    the per-worker replay log, so concurrent jobs of the same run cannot
+    race on a shared log path.  Its log records are rebuilt from their
+    log-line form, so they equal what that replay log holds.
+    """
     # A forked child inherits the parent's active-session registration (and
     # a spawned child starts clean either way); drop it so this worker's
     # replay session can activate.
     from .. import session as session_module
     session_module._ACTIVE_SESSION = None
     # A forked child also inherits the parent's telemetry ring buffer;
-    # clear it so only THIS worker's spans ship back through the summary.
+    # clear it so only THIS worker's spans ship back with the result.
     telemetry.reset_for_worker()
-    result = run_worker(run_id, instrumented_source, config, pid, num_workers,
-                        InitStrategy(init_strategy), set(probed_blocks),
-                        replay_queue_path=replay_queue_path)
-    return {
-        "pid": result.pid,
-        "wall_seconds": result.wall_seconds,
-        "iterations": result.iterations,
-        "error": result.error,
-        "spans": telemetry.get_tracer().drain(),
-    }
+    result = run_worker(*args)
+    result.log_records = [LogRecord.from_json(record.to_json())
+                          for record in result.log_records]
+    result.spans = telemetry.get_tracer().drain()
+    return result
 
 
 def _quiesce_parent_session(start_method: str) -> str:
@@ -156,14 +157,27 @@ def _quiesce_parent_session(start_method: str) -> str:
     return start_method
 
 
-def _remove_queue_files(queue_path: str | None) -> None:
-    if not queue_path:
-        return
-    for suffix in ("", "-wal", "-shm"):
-        try:
-            Path(queue_path + suffix).unlink()
-        except OSError:
-            pass
+def _run_on_pool(worker_args: list[tuple], pool_size: int, span_name: str,
+                 **attributes) -> list[WorkerResult]:
+    """Run :func:`_pool_entry` over ``worker_args`` on a fresh process pool.
+
+    Workers run as separate processes (``fork`` start method where
+    available and safe, ``spawn`` otherwise) so they are as independent as
+    the paper's per-GPU workers.  Results align with ``worker_args``.
+    """
+    start_method = "fork" if hasattr(os, "fork") else "spawn"
+    start_method = _quiesce_parent_session(start_method)
+    ctx = mp.get_context(start_method)
+    tracer = telemetry.get_tracer()
+    with tracer.span(span_name, **attributes) as dispatch:
+        with ctx.Pool(processes=pool_size) as pool:
+            results = pool.map(_pool_entry, worker_args)
+        for result in results:
+            # Worker spans come back through the result channel; re-parent
+            # their roots under this dispatch span so the merged trace
+            # stays one tree.
+            tracer.ingest(result.spans, parent_id=dispatch.span_id)
+    return results
 
 
 def run_parallel_replay(run_id: str, instrumented_source: str,
@@ -174,12 +188,8 @@ def run_parallel_replay(run_id: str, instrumented_source: str,
                         ) -> list[WorkerResult]:
     """Run ``num_workers`` replay workers and collect their results.
 
-    Workers run as separate processes (``fork`` start method where
-    available and safe, ``spawn`` otherwise) so they are as independent as
-    the paper's per-GPU workers.  Per-worker log records are re-read from
-    the per-worker replay logs so nothing has to be pickled back through
-    the pool.  For dynamic scheduling this driver provisions the shared
-    chunk-queue file that workers pull work from, and removes it afterwards.
+    One worker runs in the calling process; more run on a process pool,
+    one process per worker.
     """
     if num_workers < 1:
         raise ReplayError(f"num_workers must be >= 1, got {num_workers}")
@@ -194,94 +204,16 @@ def run_parallel_replay(run_id: str, instrumented_source: str,
                            init_strategy, probed,
                            sample_iterations=sample_iterations)]
 
-    queue_path: str | None = None
-    if config.replay_scheduler == "dynamic":
-        run_dir = config.run_dir(run_id)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        queue_path = str(run_dir
-                         / f"replay-queue-{uuid.uuid4().hex[:12]}.sqlite")
-
-    start_method = "fork" if hasattr(os, "fork") else "spawn"
-    start_method = _quiesce_parent_session(start_method)
-    ctx = mp.get_context(start_method)
     jobs = [(run_id, instrumented_source, config, pid, num_workers,
-             init_strategy.value, sorted(probed), queue_path)
+             init_strategy, probed)
             for pid in range(num_workers)]
-    tracer = telemetry.get_tracer()
-    try:
-        with tracer.span("replay.parallel", run_id=run_id,
-                         workers=num_workers) as dispatch:
-            with ctx.Pool(processes=num_workers) as pool:
-                summaries = pool.map(_worker_entry, jobs)
-            for summary in summaries:
-                # Worker spans come back through the result channel;
-                # re-parent their roots under this dispatch span so the
-                # merged trace stays one tree.
-                tracer.ingest(summary.get("spans") or [],
-                              parent_id=dispatch.span_id)
-    finally:
-        _remove_queue_files(queue_path)
-
-    run_dir = config.run_dir(run_id)
-    results = []
-    for summary in summaries:
-        pid = summary["pid"]
-        log_path = run_dir / f"replay-p{pid}of{num_workers}.log"
-        results.append(WorkerResult(
-            pid=pid,
-            wall_seconds=summary["wall_seconds"],
-            iterations=summary["iterations"],
-            log_records=read_log(log_path),
-            error=summary["error"],
-            spans=summary.get("spans") or [],
-        ))
-    return results
+    return _run_on_pool(jobs, num_workers, "replay.parallel",
+                        run_id=run_id, workers=num_workers)
 
 
 # --------------------------------------------------------------------------- #
 # Batched replay jobs (the hindsight query engine's execution primitive)
 # --------------------------------------------------------------------------- #
-def _job_entry(args: tuple) -> dict:
-    """Pool entry for one :class:`ReplayJobSpec`; returns a picklable summary.
-
-    Log records travel back through the pool as plain tuples (their values
-    are JSON-normalized by the log manager) instead of being re-read from
-    per-worker log files, so concurrent jobs of the same run cannot race on
-    a shared log path.
-    """
-    spec, config = args
-    from .. import session as session_module
-    session_module._ACTIVE_SESSION = None
-    telemetry.reset_for_worker()
-    result = run_worker(spec.run_id, spec.instrumented_source, config,
-                        spec.pid, spec.num_workers, InitStrategy.WEAK,
-                        set(spec.probed_blocks),
-                        sample_iterations=list(spec.sample_iterations))
-    return {
-        "pid": result.pid,
-        "wall_seconds": result.wall_seconds,
-        "iterations": result.iterations,
-        "log_records": [(r.name, r.value, r.iteration, r.sequence)
-                        for r in result.log_records],
-        "error": result.error,
-        "spans": telemetry.get_tracer().drain(),
-    }
-
-
-def _summary_to_result(summary: dict) -> WorkerResult:
-    return WorkerResult(
-        pid=summary["pid"],
-        wall_seconds=summary["wall_seconds"],
-        iterations=summary["iterations"],
-        log_records=[LogRecord(name=name, value=value, iteration=iteration,
-                               sequence=sequence)
-                     for name, value, iteration, sequence
-                     in summary["log_records"]],
-        error=summary["error"],
-        spans=summary.get("spans") or [],
-    )
-
-
 def run_replay_jobs(jobs: list[ReplayJobSpec], config: FlorConfig,
                     processes: int = 1) -> list[WorkerResult]:
     """Execute a batch of query replay jobs; results align with ``jobs``.
@@ -303,21 +235,7 @@ def run_replay_jobs(jobs: list[ReplayJobSpec], config: FlorConfig,
     # even a single job goes through the pool, whose children clear the
     # inherited registration and whose setup quiesces the parent's store.
     if (processes <= 1 or len(specs) == 1) and get_active_session() is None:
-        return [run_worker(spec.run_id, spec.instrumented_source, config,
-                           spec.pid, spec.num_workers, InitStrategy.WEAK,
-                           set(spec.probed_blocks),
-                           sample_iterations=list(spec.sample_iterations))
-                for spec in specs]
-    start_method = "fork" if hasattr(os, "fork") else "spawn"
-    start_method = _quiesce_parent_session(start_method)
-    ctx = mp.get_context(start_method)
-    tracer = telemetry.get_tracer()
-    with tracer.span("replay.jobs", jobs=len(specs),
-                     processes=processes) as dispatch:
-        with ctx.Pool(processes=max(1, min(processes, len(specs)))) as pool:
-            summaries = pool.map(_job_entry,
-                                 [(spec, config) for spec in specs])
-        for summary in summaries:
-            tracer.ingest(summary.get("spans") or [],
-                          parent_id=dispatch.span_id)
-    return [_summary_to_result(summary) for summary in summaries]
+        return [run_worker(*_job_args(spec, config)) for spec in specs]
+    return _run_on_pool([_job_args(spec, config) for spec in specs],
+                        max(1, min(processes, len(specs))), "replay.jobs",
+                        jobs=len(specs), processes=processes)

@@ -10,8 +10,7 @@ This count-balanced split assumes every boundary is restorable, which
 adaptive checkpointing does not guarantee; replay normally plans segments
 through :mod:`repro.replay.scheduler`, which aligns boundaries to
 materialized checkpoints and balances by estimated cost, and falls back to
-:func:`partition_indices` for the ``"uniform"`` scheduling mode and for
-runs with no usable checkpoints.
+:func:`partition_indices` only for runs with no usable checkpoints.
 """
 
 from __future__ import annotations

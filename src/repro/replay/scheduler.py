@@ -7,7 +7,7 @@ subset of Loop End Checkpoints, so a uniform boundary often falls on an
 iteration with no checkpoint and the worker must recompute the gap from the
 nearest earlier one — or, worse, silently start from stale state.
 
-This module replaces the uniform split with a scheduler that
+This module replaces the uniform split with one static plan that
 
 * asks the checkpoint store which execution indices were *actually*
   materialized for every main-loop block (``CheckpointStore.list_executions``)
@@ -17,55 +17,37 @@ This module replaces the uniform split with a scheduler that
   persists into store metadata (``iteration_stats``), so segments are
   balanced by *estimated recompute + restore cost* instead of iteration
   count; and
-* offers two scheduling modes (``FlorConfig.replay_scheduler``):
+* gives each worker one contiguous segment that it derives independently
+  from the store — deterministic and coordination-free, like the paper's
+  split, so workers neither communicate nor coordinate.
 
-  ``"static"``
-      Each worker independently derives the same checkpoint-aligned,
-      cost-balanced contiguous segment for its pid — deterministic and
-      coordination-free, like the paper's split.
-  ``"dynamic"``
-      The iteration range is cut into checkpoint-aligned chunks of roughly
-      ``replay_chunk_size`` iterations and workers *pull* chunks from a
-      shared queue (SQLite-backed across processes), so a straggler chunk
-      no longer bounds wall time the way a contiguous split does.
-
-  A third value, ``"uniform"``, keeps the paper's original split for
-  ablation and benchmarking.
-
-Every scheduling mode also produces the worker's **initialization plan**:
-the iteration to restore from (weak initialization) plus the gap of
-iterations that must be recomputed forward to reach the segment start —
-the fix for the weak-init divergence bug where a missing boundary
-checkpoint silently replayed from stale state.
+The scheduler also produces the worker's **initialization plan**: the
+iteration to restore from (weak initialization) plus the gap of iterations
+that must be recomputed forward to reach the segment start — the fix for
+the weak-init divergence bug where a missing boundary checkpoint silently
+replayed from stale state.
 """
 
 from __future__ import annotations
 
-import sqlite3
-import time
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..exceptions import ReplayError
 from .partition import WorkSegment, partition_indices
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from ..config import FlorConfig
     from ..session import Session
     from ..storage.checkpoint_store import CheckpointStore
 
 __all__ = [
-    "SCHEDULER_MODES", "MAIN_LOOP_INDEX_LIMIT", "InitPlan", "IterationCosts",
+    "MAIN_LOOP_INDEX_LIMIT", "InitPlan", "IterationCosts",
     "aligned_checkpoints", "candidate_starts", "load_iteration_costs",
-    "nearest_aligned_at_or_before", "plan_static_segments", "plan_chunks",
-    "InProcessChunkQueue", "SqliteChunkQueue", "ReplayScheduler",
+    "nearest_aligned_at_or_before", "plan_static_segments",
+    "ReplayScheduler",
 ]
-
-#: Scheduling modes accepted by ``FlorConfig.replay_scheduler``.
-SCHEDULER_MODES = ("uniform", "static", "dynamic")
 
 #: Execution indices at or above this value are composite (a block entered
 #: more than once in one iteration) or synthetic; they never denote a
@@ -361,178 +343,21 @@ def plan_static_segments(total: int, num_workers: int,
 
 
 # --------------------------------------------------------------------------- #
-# Dynamic (work-queue) planning
-# --------------------------------------------------------------------------- #
-def plan_chunks(total: int, chunk_size: int,
-                aligned: Sequence[int]) -> list[WorkSegment]:
-    """Cut ``range(total)`` into checkpoint-aligned chunks for the queue.
-
-    Each chunk starts at an aligned boundary and targets ``chunk_size``
-    iterations; sparse checkpointing can force larger chunks (an unaligned
-    cut would trade a cheap restore for duplicated recompute).
-    """
-    if total <= 0:
-        return []
-    if chunk_size < 1:
-        raise ReplayError(f"chunk_size must be >= 1, got {chunk_size}")
-    bounds = [start for start in candidate_starts(total, aligned)
-              if start > 0]
-    bounds.append(total)
-    chunks: list[WorkSegment] = []
-    begin = 0
-    for bound in bounds:
-        if bound - begin >= chunk_size or bound == total:
-            if bound > begin:
-                chunks.append(WorkSegment(begin, bound))
-                begin = bound
-    return chunks
-
-
-class InProcessChunkQueue:
-    """Single-process chunk queue (one worker, or tests)."""
-
-    def __init__(self, chunks: Sequence[WorkSegment]):
-        self._chunks: list[WorkSegment] = list(chunks)
-
-    def claim(self, pid: int,
-              preferred_start: int | None = None) -> WorkSegment | None:
-        if not self._chunks:
-            return None
-        if preferred_start is not None:
-            for position, chunk in enumerate(self._chunks):
-                if chunk.start == preferred_start:
-                    return self._chunks.pop(position)
-        return self._chunks.pop(0)
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-class SqliteChunkQueue:
-    """Shared work queue of replay chunks, claimable across processes.
-
-    Every worker initializes the queue idempotently (the chunk list is a
-    deterministic function of the store, so ``INSERT OR IGNORE`` from any
-    number of workers converges to the same rows) and claims chunks with an
-    ``BEGIN IMMEDIATE`` transaction, so each chunk is executed by exactly
-    one worker.  Workers prefer the chunk contiguous with their last one —
-    contiguous chunks need no re-initialization (state carries forward).
-    """
-
-    _SCHEMA = ("CREATE TABLE IF NOT EXISTS chunks ("
-               "chunk_index INTEGER PRIMARY KEY, "
-               "start INTEGER NOT NULL, stop INTEGER NOT NULL, "
-               "claimed_by INTEGER)")
-
-    def __init__(self, path: str | Path, chunks: Sequence[WorkSegment]):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(self.path, timeout=30.0,
-                                     isolation_level=None,
-                                     check_same_thread=False)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._execute_transaction(lambda conn: (
-            conn.execute(self._SCHEMA),
-            conn.executemany(
-                "INSERT OR IGNORE INTO chunks "
-                "(chunk_index, start, stop, claimed_by) VALUES (?, ?, ?, NULL)",
-                [(index, chunk.start, chunk.stop)
-                 for index, chunk in enumerate(chunks)])))
-
-    @staticmethod
-    def _is_lock_contention(error: sqlite3.OperationalError) -> bool:
-        message = str(error).lower()
-        return "locked" in message or "busy" in message
-
-    def _rollback_quietly(self) -> None:
-        """Leave no transaction open, whatever state the failure left."""
-        try:
-            self._conn.execute("ROLLBACK")
-        except sqlite3.Error:
-            pass
-
-    def _execute_transaction(self, operation):
-        last_error: sqlite3.OperationalError | None = None
-        for attempt in range(64):
-            try:
-                self._conn.execute("BEGIN IMMEDIATE")
-                result = operation(self._conn)
-                self._conn.execute("COMMIT")
-                return result
-            except sqlite3.OperationalError as exc:
-                # Only lock contention is retryable; anything else (disk
-                # full, corruption) must surface with its real cause, and
-                # either way no transaction may stay open across attempts.
-                self._rollback_quietly()
-                if not self._is_lock_contention(exc):
-                    raise
-                last_error = exc
-                time.sleep(0.005 * (attempt + 1))
-            except BaseException:
-                self._rollback_quietly()
-                raise
-        raise ReplayError(f"could not acquire the replay work queue at "
-                          f"{self.path} (database stayed locked: "
-                          f"{last_error})")
-
-    def claim(self, pid: int,
-              preferred_start: int | None = None) -> WorkSegment | None:
-        """Atomically claim one unclaimed chunk, or None when drained."""
-
-        def _claim(conn: sqlite3.Connection):
-            row = None
-            if preferred_start is not None:
-                row = conn.execute(
-                    "SELECT chunk_index, start, stop FROM chunks "
-                    "WHERE claimed_by IS NULL AND start = ? LIMIT 1",
-                    (preferred_start,)).fetchone()
-            if row is None:
-                row = conn.execute(
-                    "SELECT chunk_index, start, stop FROM chunks "
-                    "WHERE claimed_by IS NULL "
-                    "ORDER BY chunk_index LIMIT 1").fetchone()
-            if row is None:
-                return None
-            conn.execute("UPDATE chunks SET claimed_by = ? "
-                         "WHERE chunk_index = ?", (pid, row[0]))
-            return WorkSegment(start=row[1], stop=row[2])
-
-        return self._execute_transaction(_claim)
-
-    def claims(self) -> dict[int, int | None]:
-        """Chunk index -> claiming pid (None while unclaimed); for tests."""
-        rows = self._conn.execute(
-            "SELECT chunk_index, claimed_by FROM chunks "
-            "ORDER BY chunk_index").fetchall()
-        return {row[0]: row[1] for row in rows}
-
-    def close(self) -> None:
-        self._conn.close()
-
-
-# --------------------------------------------------------------------------- #
 # The scheduler facade
 # --------------------------------------------------------------------------- #
 class ReplayScheduler:
     """Issues checkpoint-aligned work segments and initialization plans.
 
     One instance is built per worker from the (shared, read-only) checkpoint
-    store; static scheduling is deterministic so every worker derives the
-    same global plan without coordination, and dynamic scheduling
-    coordinates through a shared SQLite chunk queue.
+    store; the plan is deterministic, so every worker derives the same
+    global plan without coordination and replays its own segment of it.
     """
 
     def __init__(self, store: "CheckpointStore", total: int,
-                 num_workers: int, *, mode: str = "static",
-                 chunk_size: int = 4, scaling_factor: float = 1.0,
+                 num_workers: int, *, scaling_factor: float = 1.0,
                  strict: bool = False,
                  probed_blocks: Iterable[str] = (),
-                 loop_blocks: Iterable[str] | None = None,
-                 queue_path: str | Path | None = None):
-        if mode not in SCHEDULER_MODES:
-            raise ReplayError(f"replay scheduler must be one of "
-                              f"{SCHEDULER_MODES}, got {mode!r}")
+                 loop_blocks: Iterable[str] | None = None):
         if total < 0:
             raise ReplayError(f"iteration count must be non-negative, "
                               f"got {total}")
@@ -541,93 +366,41 @@ class ReplayScheduler:
         self.store = store
         self.total = total
         self.num_workers = num_workers
-        self.mode = mode
-        self.chunk_size = chunk_size
         self.strict = strict
         self.probed = bool(set(probed_blocks))
-        self.queue_path = Path(queue_path) if queue_path else None
-        # The aligned set backs init planning in every mode (weak init must
-        # find a truly restorable iteration even under the uniform split).
         self.aligned = aligned_checkpoints(store, total,
                                            loop_blocks=loop_blocks)
         self.costs = load_iteration_costs(store,
                                           scaling_factor=scaling_factor)
-        self._queue: InProcessChunkQueue | SqliteChunkQueue | None = None
 
     @classmethod
     def for_session(cls, session: "Session", total: int) -> "ReplayScheduler":
-        config: "FlorConfig" = session.config
         return cls(
             store=session.store,
             total=total,
             num_workers=session.num_workers,
-            mode=config.replay_scheduler,
-            chunk_size=config.replay_chunk_size,
-            scaling_factor=config.scaling_factor,
-            strict=config.strict_consistency,
+            scaling_factor=session.config.scaling_factor,
+            strict=session.config.strict_consistency,
             probed_blocks=session.probed_blocks,
-            queue_path=session.replay_queue_path,
         )
 
     # -- segment issue ----------------------------------------------------
     def static_segments(self) -> list[WorkSegment]:
-        """The full static plan (same in every worker), for inspection."""
-        if self.mode == "uniform" or not self.aligned:
-            return [partition_indices(self.total, self.num_workers, pid)
-                    for pid in range(self.num_workers)]
+        """The full plan (same in every worker), for inspection."""
         return plan_static_segments(self.total, self.num_workers,
                                     self.aligned, self.costs,
                                     probed=self.probed)
 
-    def chunks(self) -> list[WorkSegment]:
-        """The dynamic mode's chunk list (deterministic across workers)."""
-        return plan_chunks(self.total, self.chunk_size, self.aligned)
-
-    def worker_segments(self, pid: int) -> Iterator[WorkSegment]:
-        """Yield the work segments worker ``pid`` must replay, in order."""
+    def worker_segment(self, pid: int) -> WorkSegment:
+        """The work segment worker ``pid`` must replay."""
         if not 0 <= pid < self.num_workers:
             raise ReplayError(f"pid must be in [0, {self.num_workers}), "
                               f"got {pid}")
-        if self.total <= 0:
-            return
-        if self.mode != "dynamic" or not self.aligned:
-            # Dynamic without any aligned checkpoint degrades to the uniform
-            # split: chunked pulls would each recompute from iteration 0.
-            yield self.static_segments()[pid]
-            return
-        if self.num_workers > 1 and self.queue_path is None:
-            # Dynamic coordination needs the shared queue the parallel
-            # driver provisions; an uncoordinated multi-worker session
-            # falls back to the deterministic static plan.
-            yield self.static_segments()[pid]
-            return
-        queue = self._make_queue()
-        try:
-            resume_from: int | None = None
-            while True:
-                chunk = queue.claim(pid, preferred_start=resume_from)
-                if chunk is None:
-                    return
-                yield chunk
-                resume_from = chunk.stop
-        finally:
-            queue.close()
-
-    def _make_queue(self) -> InProcessChunkQueue | SqliteChunkQueue:
-        chunks = self.chunks()
-        if self.queue_path is None:
-            return InProcessChunkQueue(chunks)
-        return SqliteChunkQueue(self.queue_path, chunks)
+        return self.static_segments()[pid]
 
     # -- initialization planning ------------------------------------------
-    def init_plan(self, start: int, resume_from: int | None,
-                  strong: bool) -> InitPlan:
+    def init_plan(self, start: int, strong: bool) -> InitPlan:
         """Plan how a worker reaches the state preceding iteration ``start``.
-
-        ``resume_from`` is the end of the segment this worker just finished
-        (state carries forward): a contiguous next segment needs no
-        initialization, and a later one can recompute forward from the
-        current state when that beats restoring an older checkpoint.
 
         Weak initialization restores the nearest *aligned* checkpoint at or
         before ``start - 1`` and recomputes the gap — the fix for the
@@ -636,21 +409,11 @@ class ReplayScheduler:
         raises (strict mode) or degrades to recomputing the whole prefix,
         which is strong initialization — slow but correct.
         """
-        empty = range(0, 0)
-        if start <= 0 or resume_from == start:
-            return InitPlan(None, empty)
-        if resume_from is not None and resume_from > start:
-            raise ReplayError(
-                f"cannot initialize segment start {start} from later "
-                f"state {resume_from}")
+        if start <= 0:
+            return InitPlan(None, range(0, 0))
         if strong:
-            return InitPlan(None, range(resume_from or 0, start))
+            return InitPlan(None, range(0, start))
         restore = nearest_aligned_at_or_before(self.aligned, start - 1)
-        if resume_from is not None and (restore is None
-                                        or restore < resume_from):
-            # Current state is already past every usable checkpoint;
-            # recompute forward from it.
-            return InitPlan(None, range(resume_from, start))
         if restore is None:
             message = (
                 f"weak initialization has no usable checkpoint at or before "

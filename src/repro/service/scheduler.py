@@ -12,11 +12,11 @@ per busy tenant, never behind a whole large query.
 Execution is delegated to a ``runner`` callable so unit tests can drive
 the scheduler with a stub (no subprocesses); the default runner lazily
 builds a persistent ``multiprocessing`` pool and executes
-:func:`repro.replay.parallel._job_entry` — the same entry the in-library
-query path uses — keeping replay semantics identical in and out of the
-service.  Dispatcher threads (one per pool slot) pull tickets and block
-on their summary, so at most ``workers`` replay jobs run concurrently no
-matter how many are queued.
+:func:`repro.replay.parallel._pool_entry` — the same entry the in-library
+query and parallel replay paths use — keeping replay semantics identical
+in and out of the service.  Dispatcher threads (one per pool slot) pull
+tickets and block on their result, so at most ``workers`` replay jobs run
+concurrently no matter how many are queued.
 
 Every dispatched job lands in a bounded in-memory ledger; the concurrency
 battery asserts dedup ("two identical queries, one set of jobs") and
@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 from ..config import FlorConfig
 from ..exceptions import ServiceError
-from ..replay.parallel import (ReplayJobSpec, WorkerResult, _job_entry,
-                               _summary_to_result)
+from ..replay.parallel import (ReplayJobSpec, WorkerResult, _job_args,
+                               _pool_entry)
 from ..utils.timing import monotonic
 
 __all__ = ["JobTicket", "FairReplayPool", "LedgerEntry"]
@@ -210,8 +210,8 @@ class FairReplayPool:
     # ------------------------------------------------------------------ #
     def _pool_runner(self, spec: ReplayJobSpec) -> WorkerResult:
         pool = self._ensure_mp_pool()
-        summary = pool.apply_async(_job_entry, ((spec, self.config),)).get()
-        return _summary_to_result(summary)
+        return pool.apply_async(_pool_entry,
+                                (_job_args(spec, self.config),)).get()
 
     def _ensure_mp_pool(self):
         with self._mp_lock:
@@ -221,7 +221,7 @@ class FairReplayPool:
             if self._mp_pool is None:
                 # The daemon never holds an active Flor session, so fork
                 # is safe where available; workers clear inherited state
-                # at entry (_job_entry) either way.
+                # at entry (_pool_entry) either way.
                 method = "fork" if hasattr(os, "fork") else "spawn"
                 ctx = mp.get_context(method)
                 self._mp_pool = ctx.Pool(processes=self.workers)

@@ -61,8 +61,7 @@ class Session:
                  pid: int = 0, num_workers: int = 1,
                  init_strategy: InitStrategy = InitStrategy.STRONG,
                  probed_blocks: Iterable[str] | None = None,
-                 sample_iterations: Iterable[int] | None = None,
-                 replay_queue_path: str | Path | None = None):
+                 sample_iterations: Iterable[int] | None = None):
         self.config = config or get_config()
         self.run_id = run_id
         self.mode = Mode(mode)
@@ -73,10 +72,6 @@ class Session:
         self.sample_iterations: list[int] | None = (
             sorted(set(sample_iterations)) if sample_iterations is not None
             else None)
-        #: Shared dynamic-scheduling work queue, provisioned by the parallel
-        #: replay driver; None for static scheduling or standalone sessions.
-        self.replay_queue_path: Path | None = (
-            Path(replay_queue_path) if replay_queue_path is not None else None)
 
         if self.num_workers < 1:
             raise ReplayError(f"num_workers must be >= 1, got {num_workers}")
@@ -178,9 +173,9 @@ class Session:
         """The Flor generator (Figure 9) wrapping the main training loop.
 
         On record it simply tracks the iteration index.  On replay it asks
-        the checkpoint-aware scheduler for this worker's segments and, for
-        each, runs the scheduler's initialization plan with SkipBlocks in
-        restore mode before replaying the segment in execution mode.
+        the checkpoint-aware scheduler for this worker's segment, runs the
+        scheduler's initialization plan with SkipBlocks in restore mode, and
+        then replays the segment in execution mode.
         """
         items = list(iterable)
         self.main_loop_total = len(items)
@@ -208,40 +203,36 @@ class Session:
 
         scheduler = ReplayScheduler.for_session(self, len(items))
         self.scheduler = scheduler
-        strong = self.init_strategy is InitStrategy.STRONG
+        segment = scheduler.worker_segment(self.pid)
+        self.work_segment = segment
+        if len(segment) == 0:
+            return
 
-        resume_from: int | None = None
-        for segment in scheduler.worker_segments(self.pid):
-            self.work_segment = segment
-            if len(segment) == 0:
-                continue
+        plan = scheduler.init_plan(
+            segment.start, strong=self.init_strategy is InitStrategy.STRONG)
+        if len(plan):
+            self.phase = Phase.REPLAY_INIT
+            # Only the plan's designated restore iteration may fall back to
+            # an earlier checkpoint; the gap iterations after it must
+            # recompute (or exact-restore), never restore stale state.
+            self._weak_restore_index = plan.restore_index
+            try:
+                for index in plan.indices():
+                    self._begin_iteration(index)
+                    try:
+                        yield items[index]
+                    finally:
+                        self._end_iteration(index)
+            finally:
+                self._weak_restore_index = None
+                self.phase = Phase.REPLAY_EXEC
 
-            plan = scheduler.init_plan(segment.start, resume_from,
-                                       strong=strong)
-            if len(plan):
-                self.phase = Phase.REPLAY_INIT
-                # Only the plan's designated restore iteration may fall back
-                # to an earlier checkpoint; the gap iterations after it must
-                # recompute (or exact-restore), never restore stale state.
-                self._weak_restore_index = plan.restore_index
-                try:
-                    for index in plan.indices():
-                        self._begin_iteration(index)
-                        try:
-                            yield items[index]
-                        finally:
-                            self._end_iteration(index)
-                finally:
-                    self._weak_restore_index = None
-                    self.phase = Phase.REPLAY_EXEC
-
-            for index in segment.indices():
-                self._begin_iteration(index)
-                try:
-                    yield items[index]
-                finally:
-                    self._end_iteration(index)
-            resume_from = segment.stop
+        for index in segment.indices():
+            self._begin_iteration(index)
+            try:
+                yield items[index]
+            finally:
+                self._end_iteration(index)
 
     def _sampling_replay_loop(self, items: list) -> Iterator:
         """Sampling replay (the Section 8 proof of concept).

@@ -18,8 +18,7 @@ owns everything that happens to them afterwards:
   backend routing behind a stable API.
 * :mod:`~repro.storage.spool` — :class:`AsyncSpool`, the bounded background
   materialization pipeline (worker pool, batched manifest commits,
-  backpressure, a ``flush()`` barrier), plus the paper's EBS-to-S3
-  transfer sim.
+  backpressure, a ``flush()`` barrier).
 * :mod:`~repro.storage.objectstore` — the content-addressed payload plane:
   one blob per payload digest, shared by every run under a Flor home, so
   identical checkpoints (across executions *and* runs) dedup to one copy.
@@ -50,7 +49,7 @@ from .objectstore import (FileObjectStore, MemoryObjectStore,
 from .serializer import (SerializedCheckpoint, ValueSnapshot,
                          deserialize_checkpoint, restore_value,
                          serialize_checkpoint, snapshot_value)
-from .spool import AsyncSpool, AsyncSpoolStats, BackgroundSpooler, SpoolStats
+from .spool import AsyncSpool, AsyncSpoolStats
 
 __all__ = [
     "CheckpointStore", "CheckpointRecord",
@@ -66,5 +65,5 @@ __all__ = [
     "compress", "decompress", "compression_ratio", "CompressionResult",
     "S3_PRICE_PER_GB_MONTH", "INSTANCE_PRICES", "InstanceType",
     "storage_cost_per_month", "compute_cost", "gb", "GiB",
-    "AsyncSpool", "AsyncSpoolStats", "BackgroundSpooler", "SpoolStats",
+    "AsyncSpool", "AsyncSpoolStats",
 ]

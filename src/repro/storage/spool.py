@@ -1,36 +1,26 @@
-"""Background spooling: the async materialization pipeline and the S3 sim.
+"""Background spooling: the async materialization pipeline.
 
-Two spoolers live here:
+:class:`AsyncSpool` is the record-phase hot-path offloader.  ``submit``
+enqueues snapshotted checkpoint objects on a **bounded** queue and returns
+immediately; a pool of workers (threads, or processes for the CPU-bound
+serialize + gzip stage) drains it, writes payloads through the store's
+backend, and commits manifest rows in **batches** (one transaction per
+batch).  When the queue is full, ``submit`` blocks — backpressure — so
+memory stays bounded no matter how fast checkpoints arrive.  ``flush()`` is
+the barrier record/replay and tests rely on: after it returns, every
+submitted checkpoint is durable *and* indexed.
 
-:class:`AsyncSpool`
-    The record-phase hot-path offloader.  ``submit`` enqueues snapshotted
-    checkpoint objects on a **bounded** queue and returns immediately; a
-    pool of workers (threads, or processes for the CPU-bound serialize +
-    gzip stage) drains it, writes payloads through the store's backend,
-    and commits manifest rows in **batches** (one transaction per batch).
-    When the queue is full, ``submit`` blocks — backpressure — so memory
-    stays bounded no matter how fast checkpoints arrive.  ``flush()`` is
-    the barrier record/replay and tests rely on: after it returns, every
-    submitted checkpoint is durable *and* indexed.
-
-    Durability ordering: a payload is fully written before its manifest
-    row enters the commit buffer, so a crash mid-spool can orphan payload
-    files but the manifest never references a missing payload.
-
-:class:`BackgroundSpooler`
-    The paper's EBS-to-S3 transfer sim (Section 6 setup): a background
-    thread gzip-copies finished checkpoint files into a "bucket"
-    directory, tracking transferred bytes and the monthly bill.
+Durability ordering: a payload is fully written before its manifest row
+enters the commit buffer, so a crash mid-spool can orphan payload files but
+the manifest never references a missing payload.
 """
 
 from __future__ import annotations
 
 import queue
-import shutil
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from ..exceptions import StorageError
@@ -38,14 +28,13 @@ from ..telemetry import get_metrics, get_tracer
 from ..utils.timing import monotonic
 from . import compression
 from .backends import CheckpointRecord
-from .costs import storage_cost_per_month
 from .serializer import (SerializedCheckpoint, ValueSnapshot,
                          serialize_checkpoint)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .checkpoint_store import CheckpointStore
 
-__all__ = ["SpoolStats", "BackgroundSpooler", "AsyncSpoolStats", "AsyncSpool"]
+__all__ = ["AsyncSpoolStats", "AsyncSpool"]
 
 #: Worker-pool flavours the async spool supports.
 SPOOL_MODES = ("thread", "process")
@@ -387,76 +376,6 @@ class AsyncSpool:
 
     def __enter__(self) -> "AsyncSpool":
         return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# --------------------------------------------------------------------------- #
-# The paper's EBS-to-S3 transfer sim
-# --------------------------------------------------------------------------- #
-@dataclass
-class SpoolStats:
-    """Aggregate statistics of one bucket spooler's lifetime."""
-
-    objects: int = 0
-    bytes_transferred: int = 0
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def monthly_cost_usd(self) -> float:
-        return storage_cost_per_month(self.bytes_transferred)
-
-
-class BackgroundSpooler:
-    """Copies checkpoint files to a bucket directory on a background thread."""
-
-    _STOP = object()
-
-    def __init__(self, bucket_dir: str | Path):
-        self.bucket_dir = Path(bucket_dir)
-        self.bucket_dir.mkdir(parents=True, exist_ok=True)
-        self.stats = SpoolStats()
-        self._queue: "queue.Queue[object]" = queue.Queue()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> "BackgroundSpooler":
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(target=self._drain, daemon=True,
-                                        name="flor-spooler")
-        self._thread.start()
-        return self
-
-    def submit(self, path: str | Path) -> None:
-        """Enqueue a finished checkpoint file for transfer to the bucket."""
-        self._queue.put(Path(path))
-
-    def close(self) -> SpoolStats:
-        """Flush the queue, stop the thread, and return transfer statistics."""
-        if self._thread is None:
-            return self.stats
-        self._queue.put(self._STOP)
-        self._thread.join()
-        self._thread = None
-        return self.stats
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is self._STOP:
-                return
-            try:
-                source = Path(item)
-                target = self.bucket_dir / source.name
-                shutil.copyfile(source, target)
-                self.stats.objects += 1
-                self.stats.bytes_transferred += target.stat().st_size
-            except OSError as exc:
-                self.stats.errors.append(f"{item}: {exc}")
-
-    def __enter__(self) -> "BackgroundSpooler":
-        return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.close()

@@ -76,18 +76,15 @@ class TestPrunedHistoryReplay:
         collect_garbage(flor_config.home)
         store.close()
 
-        for num_workers, scheduler in [(1, "static"), (2, "static"),
-                                       (2, "dynamic"), (4, "static")]:
-            config = flor_config.with_overrides(
-                adaptive_checkpointing=False, replay_scheduler=scheduler,
-                replay_chunk_size=2)
+        config = flor_config.with_overrides(adaptive_checkpointing=False)
+        for num_workers in (1, 2, 4):
             replay = replay_script(recorded.run_id, num_workers=num_workers,
                                    config=config)
-            assert replay.succeeded, (num_workers, scheduler)
+            assert replay.succeeded, num_workers
             assert replay.consistency is not None
-            assert replay.consistency.consistent, (num_workers, scheduler)
+            assert replay.consistency.consistent, num_workers
             assert replay.values("train_loss") == pytest.approx(
-                record_values(recorded)), (num_workers, scheduler)
+                record_values(recorded)), num_workers
 
     def test_query_after_prune_matches_record(self, flor_config, recorded):
         config = flor_config.with_overrides(adaptive_checkpointing=False)

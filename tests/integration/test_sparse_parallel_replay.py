@@ -20,10 +20,12 @@ import pytest
 import repro
 from repro.modes import InitStrategy, Mode
 from repro.record.adaptive import AdaptiveController
-from repro.record.logger import LogRecord
+from repro.record.logger import LogRecord, read_log
 from repro.record.recorder import record_source
 from repro.replay.replayer import ReplayResult, replay_script
+from repro.replay.scheduler import ReplayScheduler
 from repro.session import Session
+from repro.storage.checkpoint_store import CheckpointStore
 from repro.storage.serializer import snapshot_value
 
 EPOCHS = 6
@@ -93,15 +95,11 @@ class TestSparseParallelReplay:
     """End-to-end hindsight parallelism over a sparse checkpoint store."""
 
     @pytest.mark.parametrize("num_workers", [1, 2, 4])
-    @pytest.mark.parametrize("scheduler", ["static", "dynamic"])
-    def test_replay_is_clean_across_workers_and_schedulers(
-            self, flor_config, scheduler, num_workers):
-        recorded = record_sparse(period=3, name=f"sparse-{scheduler}")
+    def test_replay_is_clean_across_workers(self, flor_config, num_workers):
+        recorded = record_sparse(period=3, name="sparse")
         assert recorded.checkpoint_count == 2  # epochs 0 and 3 of 6
-        config = flor_config.with_overrides(replay_scheduler=scheduler,
-                                            replay_chunk_size=2)
         replay = replay_script(recorded.run_id, num_workers=num_workers,
-                               config=config)
+                               config=flor_config)
         assert replay.succeeded
         assert replay.consistency is not None
         assert replay.consistency.consistent
@@ -113,7 +111,6 @@ class TestSparseParallelReplay:
     def test_static_segments_align_to_materialized_checkpoints(
             self, flor_config):
         recorded = record_sparse(period=3, name="sparse-align")
-        from repro.storage.checkpoint_store import CheckpointStore
         store = CheckpointStore(flor_config.run_dir(recorded.run_id))
         assert store.list_executions("skipblock_0") == [0, 3]
         assert store.get_metadata("loop_blocks") == ["skipblock_0"]
@@ -121,7 +118,6 @@ class TestSparseParallelReplay:
         assert len(stats["per_iteration_compute_seconds"]) == EPOCHS
         assert stats["mean_compute_seconds"] > 0
 
-        from repro.replay.scheduler import ReplayScheduler
         scheduler = ReplayScheduler(store, EPOCHS, 2)
         segments = scheduler.static_segments()
         for segment in segments[1:]:
@@ -129,28 +125,40 @@ class TestSparseParallelReplay:
                 # Every non-leading boundary sits right after a checkpoint.
                 assert segment.start - 1 in {0, 3}
 
-    def test_dynamic_replay_cleans_up_its_queue_file(self, flor_config):
-        recorded = record_sparse(period=2, name="sparse-queue")
-        config = flor_config.with_overrides(replay_scheduler="dynamic",
-                                            replay_chunk_size=2)
-        replay = replay_script(recorded.run_id, num_workers=2, config=config)
+    def test_worker_log_records_match_their_replay_logs(self, flor_config):
+        recorded = record_sparse(period=3, name="sparse-logs")
+        replay = replay_script(recorded.run_id, num_workers=2,
+                               config=flor_config)
         assert replay.succeeded
         run_dir = flor_config.run_dir(recorded.run_id)
-        assert not list(run_dir.glob("replay-queue-*"))
+        for worker in replay.worker_results:
+            assert worker.log_records == read_log(
+                run_dir / f"replay-p{worker.pid}of2.log")
+        assert sum(len(worker.log_records)
+                   for worker in replay.worker_results) == EPOCHS
 
 
 class TestWeakInitDivergenceRegression:
     """Weak init at an uncheckpointed boundary must recompute, not rewind."""
 
-    def test_uniform_weak_replay_of_uncheckpointed_boundary_is_consistent(
+    def test_weak_replay_over_sparse_checkpoints_is_consistent(
             self, flor_config):
-        # Checkpoints at epochs 0 and 4 only; the uniform 2-worker boundary
-        # at 3 has no checkpoint at 2, and epoch 3 has none either — the old
-        # weak init silently replayed epoch 3 from epoch 0's state.
+        # Checkpoints at epochs 0 and 4 only.  The paper's uniform 2-worker
+        # boundary at 3 has no checkpoint at 2, and the old weak init
+        # silently replayed epoch 3 from epoch 0's state; the static plan
+        # starts every later segment right after an aligned checkpoint.
         recorded = record_sparse(period=4, name="weak-gap")
-        config = flor_config.with_overrides(replay_scheduler="uniform")
+        store = CheckpointStore(flor_config.run_dir(recorded.run_id))
+        assert store.list_executions("skipblock_0") == [0, 4]
+        segments = ReplayScheduler(store, EPOCHS, 2).static_segments()
+        store.close()
+        for segment in segments[1:]:
+            if len(segment):
+                assert segment.start - 1 in {0, 4}
+
         replay = replay_script(recorded.run_id, num_workers=2,
-                               init_strategy=InitStrategy.WEAK, config=config)
+                               init_strategy=InitStrategy.WEAK,
+                               config=flor_config)
         assert replay.succeeded
         assert replay.consistency.consistent
         record_losses = [r.value for r in recorded.log_records
@@ -161,21 +169,21 @@ class TestWeakInitDivergenceRegression:
             self, flor_config):
         recorded = record_sparse(period=0, name="weak-none")
         assert recorded.checkpoint_count == 0
-        config = flor_config.with_overrides(replay_scheduler="uniform")
         replay = replay_script(recorded.run_id, num_workers=1,
-                               init_strategy=InitStrategy.WEAK, config=config)
+                               init_strategy=InitStrategy.WEAK,
+                               config=flor_config)
         assert replay.consistency.consistent
 
         replay = replay_script(recorded.run_id, num_workers=2,
-                               init_strategy=InitStrategy.WEAK, config=config)
+                               init_strategy=InitStrategy.WEAK,
+                               config=flor_config)
         assert replay.succeeded
         assert replay.consistency.consistent
 
     def test_weak_replay_without_any_checkpoint_raises_when_strict(
             self, flor_config):
         recorded = record_sparse(period=0, name="weak-strict")
-        config = flor_config.with_overrides(replay_scheduler="uniform",
-                                            strict_consistency=True)
+        config = flor_config.with_overrides(strict_consistency=True)
         with pytest.raises(repro.ReplayError, match="no usable checkpoint"):
             replay_script(recorded.run_id, num_workers=2,
                           init_strategy=InitStrategy.WEAK, config=config)

@@ -127,6 +127,16 @@ class TestRenderers:
         assert back.to_payload() == report.to_payload()
         assert back.sources() == report.sources()
 
+    def test_payload_with_planner_mode_still_loads(self, flor_config,
+                                                   recorded):
+        # Documents written when the planner had selectable modes carry a
+        # ``planner_mode`` key; loading ignores it.
+        report = explain(values="loss", runs=recorded.run_id,
+                         config=flor_config)
+        legacy = {**report.to_payload(), "planner_mode": "cost"}
+        assert ExplainReport.from_payload(legacy).to_payload() \
+            == report.to_payload()
+
     def test_span_choice_round_trip(self):
         span = SpanChoice(start=3, stop=9, restore_index=2,
                           estimated_seconds=0.5)

@@ -148,11 +148,3 @@ class TestPlanRun:
                         costs=costs_of(), replay_possible=True)
         assert plan.spans == []
         assert plan.count("logged") == 1
-
-    def test_replay_all_mode_replays_whole_recorded_range(self):
-        entry = entry_of(total=10)
-        plan = plan_run(entry, ("grad",), (4,), record_index={},
-                        memo_index={}, costs=costs_of(),
-                        replay_possible=True, mode="replay_all")
-        assert [(s.start, s.stop) for s in plan.spans] == [(0, 10)]
-        assert plan.replay_iterations == tuple(range(10))

@@ -10,7 +10,9 @@ from repro import api as flor
 from repro import torchlike as tl
 from repro.modes import InitStrategy, Mode, Phase
 from repro.record.skipblock import UNDEFINED
+from repro.replay.scheduler import ReplayScheduler
 from repro.session import Session, get_active_session
+from repro.storage.checkpoint_store import CheckpointStore
 
 
 def train_with_explicit_api(session, epochs=4, lr=0.2):
@@ -40,6 +42,16 @@ def train_with_explicit_api(session, epochs=4, lr=0.2):
         session.log("loss", full_loss)
         losses.append(full_loss)
     return losses
+
+
+def assigned_segment(config, run_id, pid, num_workers=2, total=4):
+    """Worker ``pid``'s segment of the run's static replay plan."""
+    store = CheckpointStore.for_config(config.run_dir(run_id), config)
+    try:
+        scheduler = ReplayScheduler(store, total, num_workers)
+        return scheduler.static_segments()[pid]
+    finally:
+        store.close()
 
 
 class TestRecordMode:
@@ -128,39 +140,40 @@ class TestReplayMode:
         assert replay_losses == pytest.approx(record_losses, rel=1e-4)
 
     def test_partitioned_replay_covers_assigned_segment_only(self, flor_config):
-        # The uniform scheduler pins the exact segment shape this asserts;
-        # the cost-balanced default may legitimately cut elsewhere.
         run_id, _ = self.record_run(flor_config, "replay-partitioned")
-        config = flor_config.with_overrides(replay_scheduler="uniform")
-        replay = Session(run_id, Mode.REPLAY, config=config,
+        segment = assigned_segment(flor_config, run_id, pid=1)
+        assert 0 < segment.start < segment.stop
+        replay = Session(run_id, Mode.REPLAY, config=flor_config,
                          pid=1, num_workers=2)
         with replay:
             train_with_explicit_api(replay)
-        assert replay.iterations_run == [2, 3]
+        assert replay.iterations_run == list(segment.indices())
         # Only the worker's own iterations were logged.
-        assert [r.iteration for r in replay.logs] == [2, 3]
+        assert [r.iteration for r in replay.logs] == list(segment.indices())
 
     def test_weak_init_uses_nearest_checkpoint(self, flor_config):
         run_id, _ = self.record_run(flor_config, "replay-weak")
-        config = flor_config.with_overrides(replay_scheduler="uniform")
-        replay = Session(run_id, Mode.REPLAY, config=config,
+        segment = assigned_segment(flor_config, run_id, pid=1)
+        replay = Session(run_id, Mode.REPLAY, config=flor_config,
                          pid=1, num_workers=2,
                          init_strategy=InitStrategy.WEAK)
         with replay:
             losses = train_with_explicit_api(replay)
-        assert len(losses) == 3  # one init iteration + two work iterations
+        # Every epoch is checkpointed, so one restore iteration suffices.
+        assert len(losses) == 1 + len(segment)
 
     def test_phase_transitions_during_replay(self, flor_config):
         run_id, _ = self.record_run(flor_config, "replay-phases")
-        config = flor_config.with_overrides(replay_scheduler="uniform")
-        replay = Session(run_id, Mode.REPLAY, config=config,
+        segment = assigned_segment(flor_config, run_id, pid=1)
+        replay = Session(run_id, Mode.REPLAY, config=flor_config,
                          pid=1, num_workers=2)
         phases = []
         with replay:
             for _ in replay.loop(range(4)):
                 phases.append(replay.phase)
-        assert phases == [Phase.REPLAY_INIT, Phase.REPLAY_INIT,
-                          Phase.REPLAY_EXEC, Phase.REPLAY_EXEC]
+        # Strong init recomputes every iteration before the segment.
+        assert phases == ([Phase.REPLAY_INIT] * segment.start
+                          + [Phase.REPLAY_EXEC] * len(segment))
 
     def test_legacy_composite_index_scheme_respected_on_replay(
             self, flor_config):

@@ -2,20 +2,14 @@
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
-import repro
-from repro.config import FlorConfig
 from repro.exceptions import ReplayError
 from repro.replay.partition import WorkSegment
-from repro.replay.scheduler import (InitPlan, InProcessChunkQueue,
-                                    IterationCosts, ReplayScheduler,
-                                    SqliteChunkQueue, aligned_checkpoints,
+from repro.replay.scheduler import (InitPlan, IterationCosts,
+                                    ReplayScheduler, aligned_checkpoints,
                                     candidate_starts, load_iteration_costs,
-                                    plan_chunks, plan_static_segments)
+                                    plan_static_segments)
 from repro.storage.backends import CheckpointRecord
 from repro.storage.checkpoint_store import CheckpointStore
 
@@ -159,105 +153,89 @@ class TestStaticPlanning:
         assert sum(1 for segment in segments if len(segment) == 0) >= 2
 
 
-class TestChunkPlanning:
-    def test_chunks_cover_and_align(self):
-        chunks = plan_chunks(12, 2, [1, 3, 5, 7, 9])
-        assert covered(chunks) == list(range(12))
-        starts = {0, 2, 4, 6, 8, 10}
-        assert all(chunk.start in starts for chunk in chunks)
-        assert all(len(chunk) >= 2 for chunk in chunks[:-1])
+#: Cost models for the pinned plans below.
+PLAN_COSTS = {
+    "unit": IterationCosts(per_iteration={}, mean_compute_seconds=1.0,
+                           restore_seconds=0.1),
+    "skew": IterationCosts(
+        per_iteration={i: (0.1 if i < 6 else 1.0) for i in range(12)},
+        mean_compute_seconds=0.5, restore_seconds=0.01),
+    "ramp": IterationCosts(per_iteration={i: float(i + 1) for i in range(40)},
+                           mean_compute_seconds=2.0, restore_seconds=0.5),
+    "free-restore": IterationCosts(per_iteration={},
+                                   mean_compute_seconds=1.0,
+                                   restore_seconds=0.0),
+}
 
-    def test_sparse_checkpoints_force_larger_chunks(self):
-        chunks = plan_chunks(10, 2, [6])
-        assert chunks == [WorkSegment(0, 7), WorkSegment(7, 10)]
+#: (total, workers, aligned, costs, probed) and the (start, stop) pairs
+#: ``plan_static_segments`` returns for them.  Pinned so that any change to
+#: the one replay plan, however small, shows up as a failing case.
+PINNED_PLANS = [
+    pytest.param(12, 3, [2, 5, 8], "unit", False,
+                 [(0, 6), (6, 9), (9, 12)], id="sparse-3w"),
+    pytest.param(12, 2, list(range(12)), "skew", True,
+                 [(0, 9), (9, 12)], id="skewed-probed-2w"),
+    pytest.param(10, 4, [4], "unit", False,
+                 [(0, 5), (5, 10), (10, 10), (10, 10)], id="one-ckpt-4w"),
+    pytest.param(10, 3, [], "unit", False,
+                 [(0, 4), (4, 7), (7, 10)], id="no-ckpt-3w"),
+    pytest.param(5, 2, [], "ramp", True,
+                 [(0, 3), (3, 5)], id="no-ckpt-probed-2w"),
+    pytest.param(3, 5, [0, 1, 2], "unit", False,
+                 [(0, 1), (1, 2), (2, 3), (3, 3), (3, 3)],
+                 id="more-workers-than-iterations"),
+    pytest.param(8, 2, [0, 1, 2, 4, 5, 6], "unit", False,
+                 [(0, 5), (5, 8)], id="dense-with-gaps-2w"),
+    pytest.param(6, 2, [0, 3], "unit", False,
+                 [(0, 4), (4, 6)], id="period-3-2w"),
+    pytest.param(6, 2, [0, 4], "unit", False,
+                 [(0, 5), (5, 6)], id="period-4-2w"),
+    pytest.param(9, 4, [8], "unit", False,
+                 [(0, 9), (9, 9), (9, 9), (9, 9)],
+                 id="last-iteration-only-4w"),
+    pytest.param(20, 4, list(range(0, 20, 3)), "unit", False,
+                 [(0, 7), (7, 10), (10, 16), (16, 20)], id="every-third-4w"),
+    pytest.param(20, 4, list(range(20)), "unit", True,
+                 [(0, 5), (5, 10), (10, 15), (15, 20)],
+                 id="dense-probed-4w"),
+    pytest.param(16, 3, [1, 7, 11], "ramp", False,
+                 [(0, 8), (8, 12), (12, 16)], id="ramp-3w"),
+    pytest.param(16, 3, [1, 7, 11], "ramp", True,
+                 [(0, 8), (8, 12), (12, 16)], id="ramp-probed-3w"),
+    pytest.param(30, 8, list(range(0, 30, 2)), "free-restore", False,
+                 [(0, 3), (3, 7), (7, 11), (11, 15), (15, 19), (19, 23),
+                  (23, 27), (27, 30)], id="free-restore-8w"),
+    pytest.param(7, 7, list(range(7)), "unit", False,
+                 [(index, index + 1) for index in range(7)],
+                 id="one-iteration-per-worker-7w"),
+    pytest.param(40, 5, [9, 19, 29], "ramp", True,
+                 [(0, 20), (20, 30), (30, 40), (40, 40), (40, 40)],
+                 id="ramp-probed-5w"),
+]
 
-    def test_degenerate(self):
-        assert plan_chunks(0, 2, []) == []
-        assert plan_chunks(5, 2, []) == [WorkSegment(0, 5)]
-        with pytest.raises(ReplayError):
-            plan_chunks(5, 0, [1])
 
-
-class TestChunkQueues:
-    CHUNKS = [WorkSegment(0, 2), WorkSegment(2, 4), WorkSegment(4, 6)]
-
-    def test_in_process_queue_drains_in_order(self):
-        queue = InProcessChunkQueue(self.CHUNKS)
-        claimed = [queue.claim(0), queue.claim(0), queue.claim(0)]
-        assert claimed == self.CHUNKS
-        assert queue.claim(0) is None
-
-    def test_in_process_queue_prefers_contiguous(self):
-        queue = InProcessChunkQueue(self.CHUNKS)
-        assert queue.claim(0, preferred_start=2) == WorkSegment(2, 4)
-        assert queue.claim(0) == WorkSegment(0, 2)
-
-    def test_sqlite_queue_claims_each_chunk_once(self, tmp_path):
-        path = tmp_path / "queue.sqlite"
-        first = SqliteChunkQueue(path, self.CHUNKS)
-        second = SqliteChunkQueue(path, self.CHUNKS)  # idempotent re-init
-        claimed = [first.claim(0), second.claim(1), first.claim(0),
-                   second.claim(1)]
-        assert [c for c in claimed if c is not None] == self.CHUNKS
-        assert first.claim(0) is None
-        assert second.claims() == {0: 0, 1: 1, 2: 0}
-        first.close()
-        second.close()
-
-    def test_sqlite_queue_prefers_contiguous_chunk(self, tmp_path):
-        queue = SqliteChunkQueue(tmp_path / "queue.sqlite", self.CHUNKS)
-        assert queue.claim(0) == WorkSegment(0, 2)
-        assert queue.claim(0, preferred_start=2) == WorkSegment(2, 4)
-        queue.close()
-
-    def test_sqlite_queue_surfaces_non_lock_errors_and_stays_usable(
-            self, tmp_path):
-        import sqlite3
-        queue = SqliteChunkQueue(tmp_path / "queue.sqlite", self.CHUNKS)
-        with pytest.raises(sqlite3.OperationalError, match="no such table"):
-            queue._execute_transaction(
-                lambda conn: conn.execute("SELECT * FROM missing"))
-        # The failure rolled back cleanly: the next claim still works.
-        assert queue.claim(0) == WorkSegment(0, 2)
-        queue.close()
-
-    def test_sqlite_queue_concurrent_claims_are_disjoint(self, tmp_path):
-        chunks = [WorkSegment(i, i + 1) for i in range(24)]
-        path = tmp_path / "queue.sqlite"
-        SqliteChunkQueue(path, chunks).close()
-        claimed: list[list[WorkSegment]] = [[] for _ in range(4)]
-
-        def worker(pid: int) -> None:
-            queue = SqliteChunkQueue(path, chunks)
-            while True:
-                chunk = queue.claim(pid)
-                if chunk is None:
-                    break
-                claimed[pid].append(chunk)
-                time.sleep(0.001)
-            queue.close()
-
-        threads = [threading.Thread(target=worker, args=(pid,))
-                   for pid in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        merged = sorted((chunk.start for claims in claimed
-                         for chunk in claims))
-        assert merged == list(range(24))
+class TestPinnedStaticPlans:
+    @pytest.mark.parametrize(
+        "total, workers, aligned, costs, probed, expected", PINNED_PLANS)
+    def test_plan(self, total, workers, aligned, costs, probed, expected):
+        segments = plan_static_segments(total, workers, aligned,
+                                        PLAN_COSTS[costs], probed=probed)
+        assert [(s.start, s.stop) for s in segments] == expected
+        assert covered(segments) == list(range(total))
+        if aligned:
+            starts = set(candidate_starts(total, aligned))
+            assert all(s.start in starts for s in segments if len(s))
 
 
 class TestInitPlans:
-    def make_scheduler(self, tmp_path, checkpoints, total=8, strict=False,
-                       mode="static"):
+    def make_scheduler(self, tmp_path, checkpoints, total=8, strict=False):
         store = make_store(tmp_path, {"train": checkpoints},
                            loop_blocks=["train"])
-        return ReplayScheduler(store, total, 2, mode=mode, strict=strict)
+        return ReplayScheduler(store, total, 2, strict=strict)
 
     def test_weak_with_exact_boundary_restores_only(self, tmp_path):
         scheduler = self.make_scheduler(tmp_path, [0, 1, 2, 3])
-        plan = scheduler.init_plan(4, None, strong=False)
+        plan = scheduler.init_plan(4, strong=False)
         assert plan == InitPlan(3, range(4, 4))
         assert plan.indices() == [3]
 
@@ -265,7 +243,7 @@ class TestInitPlans:
         # Checkpoints at 0 and 1 only; a segment starting at 4 must restore
         # 1 and recompute 2..3 — not silently run from iteration 1's state.
         scheduler = self.make_scheduler(tmp_path, [0, 1])
-        plan = scheduler.init_plan(4, None, strong=False)
+        plan = scheduler.init_plan(4, strong=False)
         assert plan == InitPlan(1, range(2, 4))
         assert plan.indices() == [1, 2, 3]
 
@@ -273,101 +251,90 @@ class TestInitPlans:
             self, tmp_path):
         scheduler = self.make_scheduler(tmp_path, [])
         with pytest.warns(UserWarning, match="no usable checkpoint"):
-            plan = scheduler.init_plan(4, None, strong=False)
+            plan = scheduler.init_plan(4, strong=False)
         assert plan == InitPlan(None, range(0, 4))
 
     def test_weak_without_any_checkpoint_raises_when_strict(self, tmp_path):
         scheduler = self.make_scheduler(tmp_path, [], strict=True)
         with pytest.raises(ReplayError, match="no usable checkpoint"):
-            scheduler.init_plan(4, None, strong=False)
+            scheduler.init_plan(4, strong=False)
 
     def test_strong_recomputes_whole_prefix(self, tmp_path):
         scheduler = self.make_scheduler(tmp_path, [0, 1, 2])
-        assert scheduler.init_plan(4, None,
-                                   strong=True) == InitPlan(None, range(0, 4))
-
-    def test_contiguous_resume_needs_no_init(self, tmp_path):
-        scheduler = self.make_scheduler(tmp_path, [0, 1, 2, 3])
-        assert len(scheduler.init_plan(4, 4, strong=False)) == 0
-
-    def test_resume_past_checkpoints_recomputes_from_current_state(
-            self, tmp_path):
-        # State is at iteration 3 (chunk [0,3) done); the best checkpoint is
-        # at 1 — recomputing 3..4 forward beats rewinding to 1.
-        scheduler = self.make_scheduler(tmp_path, [0, 1])
-        plan = scheduler.init_plan(5, 3, strong=False)
-        assert plan == InitPlan(None, range(3, 5))
+        plan = scheduler.init_plan(4, strong=True)
+        assert plan == InitPlan(None, range(0, 4))
 
     def test_segment_start_zero_needs_no_init(self, tmp_path):
         scheduler = self.make_scheduler(tmp_path, [0, 1])
-        assert len(scheduler.init_plan(0, None, strong=False)) == 0
-        assert len(scheduler.init_plan(0, None, strong=True)) == 0
+        assert len(scheduler.init_plan(0, strong=False)) == 0
+        assert len(scheduler.init_plan(0, strong=True)) == 0
+
+    @pytest.mark.parametrize("start, strong, expected", [
+        (3, False, InitPlan(2, range(3, 3))),
+        (5, False, InitPlan(2, range(3, 5))),
+        (6, False, InitPlan(5, range(6, 6))),
+        (8, False, InitPlan(5, range(6, 8))),
+        (6, True, InitPlan(None, range(0, 6))),
+    ])
+    def test_plan_from_sparse_checkpoints(self, tmp_path, start, strong,
+                                          expected):
+        # Checkpoints at 2 and 5: weak init restores the nearest one at or
+        # before ``start - 1`` and recomputes the rest; strong ignores both.
+        scheduler = self.make_scheduler(tmp_path, [2, 5])
+        plan = scheduler.init_plan(start, strong=strong)
+        assert plan == expected
+        assert plan.indices() == expected.indices()
+
+    @pytest.mark.parametrize("start", [1, 2])
+    def test_weak_before_first_checkpoint_recomputes_or_raises(
+            self, tmp_path, start):
+        scheduler = self.make_scheduler(tmp_path, [2, 5])
+        with pytest.warns(UserWarning, match="no usable checkpoint"):
+            plan = scheduler.init_plan(start, strong=False)
+        assert plan == InitPlan(None, range(0, start))
+        strict = ReplayScheduler(scheduler.store, 8, 2, strict=True)
+        with pytest.raises(ReplayError, match="no usable checkpoint"):
+            strict.init_plan(start, strong=False)
 
 
 class TestSchedulerFacade:
-    def test_uniform_mode_matches_paper_split(self, tmp_path):
-        store = make_store(tmp_path, {"train": [0, 2]},
-                           loop_blocks=["train"])
-        scheduler = ReplayScheduler(store, 8, 2, mode="uniform")
-        assert list(scheduler.worker_segments(0)) == [WorkSegment(0, 4)]
-        assert list(scheduler.worker_segments(1)) == [WorkSegment(4, 8)]
-
-    def test_static_mode_aligns_boundaries(self, tmp_path):
+    def test_worker_segment_aligns_boundaries(self, tmp_path):
         store = make_store(tmp_path, {"train": [0, 1, 2, 4, 5, 6]},
                            loop_blocks=["train"])
-        scheduler = ReplayScheduler(store, 8, 2, mode="static")
-        (first,) = scheduler.worker_segments(0)
-        (second,) = scheduler.worker_segments(1)
+        scheduler = ReplayScheduler(store, 8, 2)
+        first = scheduler.worker_segment(0)
+        second = scheduler.worker_segment(1)
+        assert [first, second] == scheduler.static_segments()
         assert first.stop == second.start
         assert second.start - 1 in {0, 1, 2, 4, 5, 6}
         assert len(first) + len(second) == 8
 
-    def test_dynamic_single_worker_drains_every_chunk(self, tmp_path):
-        store = make_store(tmp_path, {"train": list(range(8))},
+    @pytest.mark.parametrize("num_workers", [1, 2, 3, 4])
+    def test_worker_segments_are_the_static_plan(self, tmp_path,
+                                                 num_workers):
+        store = make_store(tmp_path, {"train": [1, 4, 6, 9]},
                            loop_blocks=["train"])
-        scheduler = ReplayScheduler(store, 8, 1, mode="dynamic", chunk_size=3)
-        segments = list(scheduler.worker_segments(0))
-        assert len(segments) > 1
-        assert covered(segments) == list(range(8))
+        scheduler = ReplayScheduler(store, 12, num_workers)
+        segments = [scheduler.worker_segment(pid)
+                    for pid in range(num_workers)]
+        assert segments == scheduler.static_segments()
+        assert covered(segments) == list(range(12))
+        for segment in segments[1:]:
+            if len(segment):
+                assert segment.start - 1 in {1, 4, 6, 9}
 
-    def test_dynamic_multi_worker_without_queue_falls_back_static(
-            self, tmp_path):
-        store = make_store(tmp_path, {"train": list(range(8))},
-                           loop_blocks=["train"])
-        scheduler = ReplayScheduler(store, 8, 2, mode="dynamic")
-        both = (list(scheduler.worker_segments(0))
-                + list(scheduler.worker_segments(1)))
-        assert sorted(covered(both)) == list(range(8))
-
-    def test_dynamic_workers_share_a_queue(self, tmp_path):
-        store = make_store(tmp_path, {"train": list(range(12))},
-                           loop_blocks=["train"])
-        queue_path = tmp_path / "queue.sqlite"
-        schedulers = [
-            ReplayScheduler(store, 12, 2, mode="dynamic", chunk_size=2,
-                            queue_path=queue_path)
-            for _ in range(2)]
-        claimed = [list(schedulers[0].worker_segments(0)),
-                   list(schedulers[1].worker_segments(1))]
-        assert sorted(covered(claimed[0] + claimed[1])) == list(range(12))
-        # Worker 0 drained the whole queue first, so worker 1 got nothing —
-        # or they interleaved; either way nothing was claimed twice.
-        assert len(covered(claimed[0])) + len(covered(claimed[1])) == 12
+    def test_no_checkpoints_falls_back_to_paper_split(self, tmp_path):
+        store = make_store(tmp_path, {}, loop_blocks=[])
+        scheduler = ReplayScheduler(store, 8, 2)
+        assert scheduler.worker_segment(0) == WorkSegment(0, 4)
+        assert scheduler.worker_segment(1) == WorkSegment(4, 8)
 
     def test_invalid_configuration_rejected(self, tmp_path):
         store = make_store(tmp_path, {})
-        with pytest.raises(ReplayError):
-            ReplayScheduler(store, 8, 2, mode="surprise")
         with pytest.raises(ReplayError):
             ReplayScheduler(store, -1, 2)
         with pytest.raises(ReplayError):
             ReplayScheduler(store, 8, 0)
         scheduler = ReplayScheduler(store, 8, 2)
         with pytest.raises(ReplayError):
-            list(scheduler.worker_segments(5))
-
-    def test_config_knob_validation(self, tmp_path):
-        with pytest.raises(repro.ConfigError):
-            FlorConfig(home=tmp_path, replay_scheduler="nope")
-        with pytest.raises(repro.ConfigError):
-            FlorConfig(home=tmp_path, replay_chunk_size=0)
+            scheduler.worker_segment(5)

@@ -1,15 +1,12 @@
-"""Tests for the cloud cost model and the background spooler."""
+"""Tests for the cloud cost model."""
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
 from repro.exceptions import SimulationError
 from repro.storage.costs import (GiB, INSTANCE_PRICES, S3_PRICE_PER_GB_MONTH,
                                  compute_cost, gb, storage_cost_per_month)
-from repro.storage.spool import BackgroundSpooler
 
 
 class TestStorageCosts:
@@ -66,45 +63,3 @@ class TestComputeCosts:
         with pytest.raises(SimulationError):
             compute_cost(1.0, count=0)
 
-
-class TestBackgroundSpooler:
-    def test_spools_files_to_bucket(self, tmp_path):
-        source_dir = tmp_path / "checkpoints"
-        source_dir.mkdir()
-        files = []
-        for index in range(3):
-            path = source_dir / f"ckpt_{index}.bin"
-            path.write_bytes(b"x" * 1000)
-            files.append(path)
-
-        bucket = tmp_path / "bucket"
-        with BackgroundSpooler(bucket) as spooler:
-            for path in files:
-                spooler.submit(path)
-        stats = spooler.stats
-        assert stats.objects == 3
-        assert stats.bytes_transferred == 3000
-        assert sorted(p.name for p in bucket.iterdir()) == [
-            "ckpt_0.bin", "ckpt_1.bin", "ckpt_2.bin"]
-        assert stats.monthly_cost_usd > 0
-
-    def test_missing_file_recorded_as_error(self, tmp_path):
-        spooler = BackgroundSpooler(tmp_path / "bucket").start()
-        spooler.submit(tmp_path / "does-not-exist.bin")
-        stats = spooler.close()
-        assert stats.objects == 0
-        assert len(stats.errors) == 1
-
-    def test_close_without_start_is_safe(self, tmp_path):
-        spooler = BackgroundSpooler(tmp_path / "bucket")
-        assert spooler.close().objects == 0
-
-    def test_start_twice_is_idempotent(self, tmp_path):
-        spooler = BackgroundSpooler(tmp_path / "bucket")
-        spooler.start()
-        spooler.start()
-        (tmp_path / "file.bin").write_bytes(b"abc")
-        spooler.submit(tmp_path / "file.bin")
-        # Give the background thread a moment, then close and verify.
-        time.sleep(0.05)
-        assert spooler.close().objects == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
@@ -34,9 +35,8 @@ class TestConfig:
             FlorConfig(background_materialization="plasma9000")
 
     def test_validate_names_the_knob_and_its_choices(self):
-        with pytest.raises(ConfigError,
-                           match=r"replay_scheduler must be one of"):
-            FlorConfig(replay_scheduler="statik")
+        with pytest.raises(ConfigError, match=r"chunking must be one of"):
+            FlorConfig(chunking="fixd")
         with pytest.raises(ConfigError,
                            match=r"background_materialization must be one of"):
             FlorConfig(background_materialization="plasma9000")
@@ -45,14 +45,11 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match=r"storage_backend must be one of"):
             FlorConfig(storage_backend="s3")
-        with pytest.raises(ConfigError,
-                           match=r"query_planner must be one of"):
-            FlorConfig(query_planner="magic")
 
     def test_validate_rejects_non_positive_counts(self):
         for knob in ("storage_shards", "spool_workers", "spool_queue_size",
-                     "manifest_batch_size", "replay_chunk_size",
-                     "query_workers", "fork_batch_size"):
+                     "manifest_batch_size", "query_workers",
+                     "fork_batch_size"):
             with pytest.raises(ConfigError, match=rf"{knob} must be"):
                 FlorConfig(**{knob: 0})
 
@@ -68,7 +65,6 @@ class TestConfig:
         config = FlorConfig()
         assert config.query_workers >= 1
         assert config.query_memoize is True
-        assert config.query_planner == "cost"
 
     def test_with_overrides_returns_new_instance(self, tmp_path):
         config = FlorConfig(home=tmp_path)
@@ -101,6 +97,21 @@ class TestConfig:
         assert issubclass(repro.ReplayAnomalyError, repro.ReplayError)
         assert issubclass(repro.CheckpointNotFoundError, repro.ReplayError)
         assert issubclass(repro.SerializationError, repro.StorageError)
+
+
+def test_knob_census():
+    """Every ``FlorConfig`` knob by name, so adding or removing one shows."""
+    assert sorted(field.name for field in dataclasses.fields(FlorConfig)) == [
+        "adaptive_checkpointing", "background_materialization",
+        "chunk_nbytes", "chunking", "codec", "codec_level",
+        "compress_checkpoints", "dedup", "epsilon", "fork_batch_size",
+        "gc_interval", "home", "manifest_batch_size", "query_memoize",
+        "query_workers", "retention_policy", "scaling_factor",
+        "service_drain_seconds", "service_queue_size", "service_workers",
+        "spool_mode", "spool_queue_size", "spool_workers", "storage_backend",
+        "storage_shards", "strict_analysis", "strict_consistency",
+        "telemetry", "telemetry_buffer",
+    ]
 
 
 class TestNaming:
