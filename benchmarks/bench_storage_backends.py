@@ -103,15 +103,16 @@ def _record_phase(store: CheckpointStore, materializer_name: str,
     materializer.close()  # drains the pipeline: durable + indexed
     wall_seconds = time.perf_counter() - start
 
-    assert store.checkpoint_count() == ITERATIONS, (
+    totals = store.totals()
+    assert totals.checkpoints == ITERATIONS, (
         f"{materializer_name}: expected {ITERATIONS} checkpoints, got "
-        f"{store.checkpoint_count()}")
+        f"{totals.checkpoints}")
     return {
         "wall_seconds": round(wall_seconds, 4),
         "main_thread_seconds": round(
             materializer.stats.total_main_thread_seconds, 4),
-        "stored_nbytes": store.total_stored_nbytes(),
-        "checkpoints": store.checkpoint_count(),
+        "stored_nbytes": totals.stored_nbytes,
+        "checkpoints": totals.checkpoints,
     }
 
 

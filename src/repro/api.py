@@ -167,8 +167,7 @@ def prune(run_id: str, policy: RetentionPolicy | None = None,
     # typo'd run id silently materializing an empty junk run.
     from .storage.backends import registered_memory_backends
     registered = {backend.root_dir for backend
-                  in registered_memory_backends(config.home)
-                  if backend.root_dir is not None}
+                  in registered_memory_backends(config.home)}
     if not run_dir.is_dir() and run_dir not in registered:
         from .exceptions import StorageError
         raise StorageError(

@@ -234,7 +234,7 @@ def build_entry(run_dir: Path, store: CheckpointStore) -> RunEntry:
         wall_seconds=float(environment.get("wall_seconds") or 0.0),
         main_loop_total=int(total),
         loop_blocks=tuple(loop_blocks or ()),
-        checkpoint_count=store.checkpoint_count(),
+        checkpoint_count=store.totals().checkpoints,
         aligned_iterations=tuple(aligned),
         logged_values=tuple(logged),
         execution_index_scheme=int(
@@ -289,7 +289,7 @@ class RunCatalog:
             return False
         try:
             return int(persisted["checkpoint_count"]) == \
-                store.checkpoint_count()
+                store.totals().checkpoints
         except (KeyError, TypeError, ValueError):
             return False
 

@@ -120,14 +120,15 @@ def record_source(source: str, name: str | None = None,
         exec(code, exec_globals)  # noqa: S102 - executing the user's own script
     wall_seconds = monotonic() - start
 
+    totals = session.store.totals()
     return RecordResult(
         run_id=run_id,
         run_dir=session.run_dir,
         wall_seconds=wall_seconds,
         materialization_main_thread_seconds=
             session.materializer.stats.total_main_thread_seconds,
-        checkpoint_count=session.store.checkpoint_count(),
-        stored_nbytes=session.store.total_stored_nbytes(),
+        checkpoint_count=totals.checkpoints,
+        stored_nbytes=totals.stored_nbytes,
         storage_backend=session.store.backend.name,
         log_records=list(session.logs.records),
         instrumentation=instrumentation,

@@ -10,7 +10,7 @@ nearest earlier one — or, worse, silently start from stale state.
 This module replaces the uniform split with one static plan that
 
 * asks the checkpoint store which execution indices were *actually*
-  materialized for every main-loop block (``CheckpointStore.list_executions``)
+  materialized for every main-loop block (``CheckpointStore.executions``)
   and intersects them into the set of **aligned** iterations — iterations
   whose end-state is fully restorable;
 * weighs iterations by the per-iteration timing statistics the record phase
@@ -188,12 +188,12 @@ def aligned_checkpoints(store: "CheckpointStore", total: int,
         # (non-composite) execution index inside the loop range as main-loop.
         blocks = [block_id for block_id in store.blocks()
                   if any(0 <= index < min(total, MAIN_LOOP_INDEX_LIMIT)
-                         for index in store.list_executions(block_id))]
+                         for index in store.executions(block_id))]
     if not blocks:
         return []
     aligned: set[int] | None = None
     for block_id in blocks:
-        indices = {index for index in store.list_executions(block_id)
+        indices = {index for index in store.executions(block_id)
                    if 0 <= index < min(total, MAIN_LOOP_INDEX_LIMIT)}
         aligned = indices if aligned is None else aligned & indices
         if not aligned:

@@ -373,9 +373,9 @@ class Session:
             self.store.set_metadata("adaptive_summary", self.adaptive.summary())
             # Scheduler-facing metadata: which blocks live inside the main
             # loop (alignment) and what iterations cost (balancing).
-            self.store.put_metadata("loop_blocks",
+            self.store.set_metadata("loop_blocks",
                                     sorted(self._loop_block_ids))
-            self.store.put_metadata("iteration_stats",
+            self.store.set_metadata("iteration_stats",
                                     self.adaptive.iteration_stats())
             # Catalog-facing metadata: which value names this run logged, so
             # the hindsight query planner can resolve logged values without
@@ -431,14 +431,14 @@ class Session:
                 self.adaptive.restore_ewma, 6)
             stats["restore_observations"] = (
                 self.adaptive.restore_observations)
-            self.store.put_metadata("iteration_stats", stats)
+            self.store.set_metadata("iteration_stats", stats)
         self._session_span.end()
         if self.mode is Mode.RECORD and self._tracer.enabled:
             # Persist the flight-recorder capture next to the run, in the
             # same metadata channel as iteration_stats.  The buffer is
             # process-global (bounded), so the document may also carry
             # spans from adjacent activity in this process.
-            self.store.put_metadata(
+            self.store.set_metadata(
                 telemetry.METADATA_KEY,
                 telemetry.current_document(meta={"run_id": self.run_id}))
         self.store.flush()

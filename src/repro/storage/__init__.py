@@ -9,10 +9,11 @@ owns everything that happens to them afterwards:
   adaptive controller.
 * :mod:`~repro.storage.compression` — gzip codec for payloads (Table 4
   reports compressed sizes).
-* :mod:`~repro.storage.backends` — the pluggable backend abstraction:
-  ``local`` (one SQLite manifest + payload tree), ``memory`` (process-local,
-  for tests/benchmarks) and ``sharded`` (checkpoints partitioned by
-  ``hash(block_id) % num_shards``, one manifest per shard).
+* :mod:`~repro.storage.backends` — one SQLite ``Manifest`` class under
+  three layouts: ``local`` (one manifest file), ``memory`` (one manifest
+  on SQLite ``:memory:``, for tests/benchmarks) and ``sharded``
+  (checkpoints partitioned by ``sha256(block_id) % num_shards``, one
+  manifest per shard), behind one concrete ``StorageBackend``.
 * :mod:`~repro.storage.checkpoint_store` — the facade every other module
   talks to: compression, digests, run metadata, source snapshots, and
   backend routing behind a stable API.
@@ -34,8 +35,7 @@ references them — so the manifest never references a missing payload, in
 either direction of the lifecycle.
 """
 
-from .backends import (BACKEND_NAMES, InMemoryBackend, LocalSQLiteBackend,
-                       ShardedSQLiteBackend, StorageBackend, resolve_backend)
+from .backends import BACKEND_NAMES, StorageBackend, resolve_backend
 from .checkpoint_store import CheckpointRecord, CheckpointStore
 from .compression import CompressionResult, compress, compression_ratio, decompress
 from .costs import (GiB, INSTANCE_PRICES, InstanceType, S3_PRICE_PER_GB_MONTH,
@@ -53,8 +53,7 @@ from .spool import AsyncSpool, AsyncSpoolStats
 
 __all__ = [
     "CheckpointStore", "CheckpointRecord",
-    "StorageBackend", "LocalSQLiteBackend", "InMemoryBackend",
-    "ShardedSQLiteBackend", "resolve_backend", "BACKEND_NAMES",
+    "StorageBackend", "resolve_backend", "BACKEND_NAMES",
     "PayloadObjectStore", "FileObjectStore", "MemoryObjectStore",
     "ObjectStoreStats",
     "RetentionPolicy", "PruneReport", "GCReport", "StorageStats",

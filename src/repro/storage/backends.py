@@ -1,43 +1,33 @@
-"""Pluggable checkpoint storage backends.
+"""Checkpoint storage backends: one manifest class under three layouts.
 
-A backend owns the two planes of the checkpoint store:
-
-* the **payload plane** — opaque byte blobs, one per Loop End Checkpoint,
-  addressed by an opaque *location* string the backend hands out, and
-* the **manifest plane** — the index of checkpoints by
-  ``(block_id, execution_index)`` with sizes, timings and digests, plus a
-  small run-metadata table.
-
+A backend owns the two planes of the checkpoint store: the **manifest
+plane** — the index of checkpoints by ``(block_id, execution_index)``
+with sizes, timings and digests, plus a small run-metadata table, kept in
+:class:`Manifest` (one SQLite database per partition) — and the **payload
+plane** of opaque blobs addressed by *location* strings.
 :class:`~repro.storage.checkpoint_store.CheckpointStore` routes every read
-and write through this interface, so the rest of the system (sessions,
-materializers, the replayer, the spool) never touches SQLite or the
-filesystem directly.  Three implementations ship:
+and write through :class:`StorageBackend`, so the rest of the system never
+touches SQLite or the filesystem directly.  The layouts differ only in
+where their manifests live and how many there are:
 
 ``local``
-    The original single-directory layout: one ``manifest.sqlite`` plus a
-    ``checkpoints/`` payload tree.  Reuses one WAL-mode connection per
-    process (reopening automatically after ``fork``) and commits batched
-    inserts in a single transaction.
+    One ``manifest.sqlite`` plus a ``checkpoints/`` tree for legacy
+    per-execution payloads.
 ``memory``
-    Everything in process memory — for tests and benchmarks.  Backends are
-    registered per run directory so "reopening" the store in the same
-    process attaches to the same data.
+    One manifest on a SQLite ``:memory:`` database, payloads in process
+    memory — for tests and benchmarks.  Backends are registered per run
+    directory, so reopening a store in-process attaches to the same data.
 ``sharded``
-    Partitions checkpoints across ``num_shards`` local backends by
-    ``hash(block_id) % num_shards``, one manifest per shard, so concurrent
-    writers (spool workers, replay workers) contend on different SQLite
-    files.  The shard count is persisted in ``shards.json`` and wins over
-    whatever a reopening caller asks for.
+    ``num_shards`` local-style subtrees ``shards/shard-<k>/``, checkpoints
+    routed by ``sha256(block_id)[:8] % num_shards`` so concurrent writers
+    contend on different SQLite files; run metadata lives in shard 0.  The
+    count is persisted in ``shards.json`` and wins on reopen.
 
-The durability contract every backend honours: a payload is written
+The durability contract every layout honours: a payload is written
 *before* its manifest row is committed, so the manifest never references a
-missing payload (crash-mid-spool leaves at most orphaned payload files).
-
-When dedup is enabled (the default), the payload plane is routed through a
-content-addressed object store shared by every run under the same Flor
-home (see :mod:`repro.storage.objectstore`): one blob per payload digest,
-with reference counts *derived* from the manifest rows, and the lifecycle
-layer's GC sweeping blobs no manifest references any more.
+missing payload.  With dedup (the default) payloads go to the object store
+shared by every run under the home (:mod:`repro.storage.objectstore`),
+with reference counts *derived* from the manifest rows.
 """
 
 from __future__ import annotations
@@ -49,7 +39,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..exceptions import StorageError
 from ..utils.hashing import digest_bytes, stable_hash
@@ -58,9 +48,8 @@ from .objectstore import (FileObjectStore, MemoryObjectStore,
 
 __all__ = [
     "BACKEND_NAMES", "DEFAULT_NUM_SHARDS", "CheckpointRecord",
-    "StorageBackend", "LocalSQLiteBackend", "InMemoryBackend",
-    "ShardedSQLiteBackend", "resolve_backend",
-    "registered_memory_backends",
+    "Manifest", "ManifestTotals", "StorageBackend", "resolve_backend",
+    "registered_memory_backends", "discard_memory_dir",
 ]
 
 #: Backend names accepted by the configuration layer.
@@ -109,149 +98,12 @@ class CheckpointRecord:
         return not self.payload_digest and not self.recipe
 
 
-class StorageBackend:
-    """Interface every checkpoint storage backend implements."""
+class ManifestTotals(NamedTuple):
+    """Row count and byte sums of a manifest, answered by one scan."""
 
-    name = "abstract"
-
-    # -- payload plane ----------------------------------------------------
-    def write_payload(self, block_id: str, execution_index: int,
-                      payload: bytes, *, digest: str | None = None) -> str:
-        """Durably store one payload and return its location string.
-
-        ``digest`` is the payload's content hash when the caller already
-        computed it (the store and spool hash every payload for the
-        manifest anyway); dedup-enabled backends use it as the content
-        address instead of hashing a second time.
-        """
-        raise NotImplementedError
-
-    def read_payload(self, location: str) -> bytes:
-        raise NotImplementedError
-
-    def discard_payload(self, location: str) -> int:
-        """Delete one *legacy* (per-execution) payload; returns bytes freed.
-
-        Content-addressed blobs are never deleted through this — they may
-        be shared — only by the lifecycle GC once unreferenced.
-        """
-        return 0
-
-    def object_store(self) -> PayloadObjectStore | None:
-        """The content-addressed store payloads dedup into (None = legacy)."""
-        return None
-
-    # -- manifest plane ---------------------------------------------------
-    def index(self, record: CheckpointRecord) -> None:
-        """Commit one manifest row (upsert)."""
-        self.index_many([record])
-
-    def index_many(self, records: Sequence[CheckpointRecord]) -> None:
-        """Commit a batch of manifest rows in one transaction."""
-        raise NotImplementedError
-
-    def delete_many(self, keys: Sequence[tuple[str, int]]
-                    ) -> list[CheckpointRecord]:
-        """Delete manifest rows by ``(block_id, execution_index)`` key.
-
-        Returns the rows that existed and were deleted.  This is the
-        *manifest-first* half of retention: rows disappear in one
-        transaction, and only afterwards may payloads be discarded
-        (legacy files by the caller, shared blobs by GC) — so a crash
-        anywhere in between leaves orphaned payloads, never dangling rows.
-        """
-        raise NotImplementedError
-
-    def referenced_digests(self) -> dict[str, int]:
-        """``payload_digest -> manifest row count`` (the derived refcounts).
-
-        Derived from the manifest rather than stored, so it is
-        transactionally consistent with the rows by construction; the
-        lifecycle GC unions these across every run under a home before
-        sweeping the shared object store.
-        """
-        raise NotImplementedError
-
-    def lookup(self, block_id: str, execution_index: int
-               ) -> CheckpointRecord | None:
-        raise NotImplementedError
-
-    def contains(self, block_id: str, execution_index: int) -> bool:
-        return self.lookup(block_id, execution_index) is not None
-
-    def executions(self, block_id: str) -> list[int]:
-        raise NotImplementedError
-
-    def list_executions(self, block_id: str) -> list[int]:
-        """Sorted execution indices with a materialized checkpoint.
-
-        The replay scheduler's query: which iterations of ``block_id`` did
-        the adaptive controller *actually* materialize?  Alias of
-        :meth:`executions`; backends may override with a cheaper form.
-        """
-        return self.executions(block_id)
-
-    def latest_execution_at_or_before(self, block_id: str,
-                                      execution_index: int) -> int | None:
-        raise NotImplementedError
-
-    def blocks(self) -> list[str]:
-        raise NotImplementedError
-
-    def records(self) -> list[CheckpointRecord]:
-        raise NotImplementedError
-
-    def checkpoint_count(self) -> int:
-        raise NotImplementedError
-
-    def total_stored_nbytes(self) -> int:
-        raise NotImplementedError
-
-    def total_raw_nbytes(self) -> int:
-        raise NotImplementedError
-
-    # -- run metadata (values are already-encoded JSON strings) -----------
-    def set_metadata_json(self, key: str, value_json: str) -> None:
-        raise NotImplementedError
-
-    def get_metadata_json(self, key: str) -> str | None:
-        raise NotImplementedError
-
-    def update_metadata_json(self, key: str,
-                             update: "Callable[[str | None], str]") -> str:
-        """Atomic read-modify-write of one metadata value.
-
-        ``update`` receives the currently stored JSON string (or None) and
-        returns the JSON string to store; the read and the write happen
-        under one writer transaction, so two concurrent updaters — e.g.
-        two query processes writing memoized replay values back to the
-        same run — serialize instead of losing each other's merge.  The
-        stored result is returned.  ``update`` must be pure: a backend
-        may re-invoke it if its transaction has to retry.
-        """
-        raise NotImplementedError
-
-    def all_metadata_json(self) -> dict[str, str]:
-        raise NotImplementedError
-
-    def metadata_keys(self, prefix: str = "") -> list[str]:
-        """Sorted metadata keys, optionally restricted to a prefix.
-
-        The hindsight query engine namespaces its write-back entries under
-        prefixed keys (``memo:<digest>``); listing by prefix lets it
-        enumerate memoized value sets without decoding every value.  The
-        default implementation filters :meth:`all_metadata_json`; SQLite
-        backends override it with an index-only scan.
-        """
-        return sorted(key for key in self.all_metadata_json()
-                      if key.startswith(prefix))
-
-    # -- lifecycle --------------------------------------------------------
-    def flush(self) -> None:
-        """Make every accepted write durable."""
-
-    def close(self) -> None:
-        """Release resources.  The backend reopens lazily if used again."""
+    checkpoints: int
+    stored_nbytes: int
+    raw_nbytes: int
 
 
 _SCHEMA = """
@@ -307,37 +159,21 @@ def sanitize_block_id(block_id: str) -> str:
                    for ch in block_id)
 
 
-class LocalSQLiteBackend(StorageBackend):
-    """Single-directory backend: one SQLite manifest + a payload tree.
+class Manifest:
+    """One SQLite checkpoint manifest: checkpoint rows plus run metadata.
 
-    One connection is opened per process and reused for every operation
-    (the seed opened a fresh connection per call).  The connection runs in
-    WAL mode so readers never block the writer; a thread lock serializes
-    access from the training thread and background spool workers, and the
-    connection is transparently reopened in children after ``fork`` (fork
-    materialization and parallel replay both fork with a live store).
+    One connection is opened per process and reused for every operation.
+    On disk it runs in WAL mode so readers never block the writer; a
+    thread lock serializes access from the training thread and background
+    spool workers, and the connection is transparently reopened in
+    children after ``fork`` (fork materialization and parallel replay both
+    fork with a live store).  ``path=None`` keeps the database in memory:
+    that connection *is* the data, so it is never reopened (a forked child
+    keeps writing into its own copy) and :meth:`close` only commits.
     """
 
-    name = "local"
-
-    def __init__(self, root_dir: str | Path,
-                 object_store: PayloadObjectStore | None = None,
-                 dedup: bool = True):
-        self.root_dir = Path(root_dir)
-        self.checkpoint_dir = self.root_dir / "checkpoints"
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        # Payloads dedup into the object store shared by every run under
-        # the same home (= the run dir's parent), so identical checkpoints
-        # across runs cost one blob.  ``dedup=False`` keeps the legacy
-        # one-file-per-execution layout.
-        if object_store is not None:
-            self._objects: PayloadObjectStore | None = object_store
-        elif dedup:
-            self._objects = FileObjectStore.for_dir(
-                default_objects_dir(self.root_dir.parent))
-        else:
-            self._objects = None
-        self._db_path = self.root_dir / "manifest.sqlite"
+    def __init__(self, path: Path | None):
+        self.path = path
         self._lock = threading.RLock()
         self._conn: sqlite3.Connection | None = None
         self._conn_pid: int | None = None
@@ -362,10 +198,11 @@ class LocalSQLiteBackend(StorageBackend):
     def _connection(self) -> sqlite3.Connection:
         """The process-wide connection, (re)opened lazily and after fork."""
         pid = os.getpid()
-        if self._conn is None or self._conn_pid != pid:
+        if self._conn is None or (self._conn_pid != pid
+                                  and self.path is not None):
             # After fork the inherited connection object must not be used
             # (or even closed) in the child; just drop the reference.
-            self._conn = sqlite3.connect(self._db_path, timeout=30.0,
+            self._conn = sqlite3.connect(self.path or ":memory:", timeout=30.0,
                                          check_same_thread=False)
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -383,44 +220,9 @@ class LocalSQLiteBackend(StorageBackend):
         with self._lock:
             return self._connection().execute(sql, params).fetchall()
 
-    # -- payload plane ----------------------------------------------------
-    def payload_location(self, block_id: str, execution_index: int) -> Path:
-        return (self.checkpoint_dir / sanitize_block_id(block_id)
-                / f"{execution_index}.ckpt")
-
-    def write_payload(self, block_id, execution_index, payload, *,
-                      digest=None):
-        if self._objects is not None:
-            return self._objects.put(digest or digest_bytes(payload), payload)
-        path = self.payload_location(block_id, execution_index)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)
-        return str(path)
-
-    def read_payload(self, location):
-        return Path(location).read_bytes()
-
-    def discard_payload(self, location):
-        path = Path(location)
-        try:
-            path.relative_to(self.checkpoint_dir)
-        except ValueError:
-            # Not a legacy per-execution file of this backend (it is a
-            # shared content-addressed blob, or another run's file) —
-            # only GC may remove those.
-            return 0
-        try:
-            nbytes = path.stat().st_size
-            path.unlink()
-            return nbytes
-        except FileNotFoundError:
-            return 0
-
-    def object_store(self):
-        return self._objects
-
-    # -- manifest plane ---------------------------------------------------
-    def index_many(self, records):
+    # -- checkpoint rows --------------------------------------------------
+    def index_many(self, records: Sequence[CheckpointRecord]) -> None:
+        """Commit a batch of rows (upserts) in one transaction."""
         if not records:
             return
         rows = [(r.block_id, r.execution_index, str(r.path), r.raw_nbytes,
@@ -436,7 +238,9 @@ class LocalSQLiteBackend(StorageBackend):
     # is 999; two parameters per key).
     _DELETE_CHUNK = 450
 
-    def delete_many(self, keys):
+    def delete_many(self, keys: Sequence[tuple[str, int]]
+                    ) -> list[CheckpointRecord]:
+        """Delete rows by key in one transaction; returns the rows deleted."""
         if not keys:
             return []
         keys = [tuple(key) for key in keys]
@@ -458,7 +262,7 @@ class LocalSQLiteBackend(StorageBackend):
                     "AND execution_index = ?", keys)
         return deleted
 
-    def referenced_digests(self):
+    def referenced_digests(self) -> Counter:
         # Whole-payload references group in SQL; chunk references come as
         # recipe strings split here (SQLite has no string-split), which is
         # fine — rows with a recipe are a minority and the digests are
@@ -471,50 +275,47 @@ class LocalSQLiteBackend(StorageBackend):
         for (recipe,) in self._query(
                 "SELECT recipe FROM checkpoints WHERE recipe != ''"):
             counts.update(recipe.split(","))
-        return dict(counts)
+        return counts
 
-    def lookup(self, block_id, execution_index):
+    def lookup(self, block_id: str, execution_index: int
+               ) -> CheckpointRecord | None:
         rows = self._query(
             f"SELECT {_RECORD_COLUMNS} FROM checkpoints WHERE block_id = ? "
             "AND execution_index = ?", (block_id, execution_index))
         return _row_to_record(rows[0]) if rows else None
 
-    def executions(self, block_id):
+    def executions(self, block_id: str) -> list[int]:
         rows = self._query(
             "SELECT execution_index FROM checkpoints WHERE block_id = ? "
             "ORDER BY execution_index", (block_id,))
         return [row[0] for row in rows]
 
-    def latest_execution_at_or_before(self, block_id, execution_index):
+    def latest_execution_at_or_before(self, block_id: str,
+                                      execution_index: int) -> int | None:
         rows = self._query(
             "SELECT MAX(execution_index) FROM checkpoints WHERE block_id = ? "
             "AND execution_index <= ?", (block_id, execution_index))
         return rows[0][0] if rows and rows[0][0] is not None else None
 
-    def blocks(self):
+    def blocks(self) -> list[str]:
         rows = self._query(
             "SELECT DISTINCT block_id FROM checkpoints ORDER BY block_id")
         return [row[0] for row in rows]
 
-    def records(self):
+    def records(self) -> list[CheckpointRecord]:
         rows = self._query(
             f"SELECT {_RECORD_COLUMNS} FROM checkpoints "
             "ORDER BY block_id, execution_index")
         return [_row_to_record(row) for row in rows]
 
-    def checkpoint_count(self):
-        return int(self._query("SELECT COUNT(*) FROM checkpoints")[0][0])
+    def totals(self) -> ManifestTotals:
+        count, stored, raw = self._query(
+            "SELECT COUNT(*), COALESCE(SUM(stored_nbytes), 0), "
+            "COALESCE(SUM(raw_nbytes), 0) FROM checkpoints")[0]
+        return ManifestTotals(int(count), int(stored), int(raw))
 
-    def total_stored_nbytes(self):
-        return int(self._query(
-            "SELECT COALESCE(SUM(stored_nbytes), 0) FROM checkpoints")[0][0])
-
-    def total_raw_nbytes(self):
-        return int(self._query(
-            "SELECT COALESCE(SUM(raw_nbytes), 0) FROM checkpoints")[0][0])
-
-    # -- run metadata -----------------------------------------------------
-    def set_metadata_json(self, key, value_json):
+    # -- run metadata (values are already-encoded JSON strings) -----------
+    def set_metadata_json(self, key: str, value_json: str) -> None:
         with self._lock:
             conn = self._connection()
             with conn:
@@ -523,12 +324,22 @@ class LocalSQLiteBackend(StorageBackend):
                     "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
                     (key, value_json))
 
-    def get_metadata_json(self, key):
+    def get_metadata_json(self, key: str) -> str | None:
         rows = self._query(
             "SELECT value FROM run_metadata WHERE key = ?", (key,))
         return rows[0][0] if rows else None
 
-    def update_metadata_json(self, key, update):
+    def update_metadata_json(self, key: str,
+                             update: Callable[[str | None], str]) -> str:
+        """Atomic read-modify-write of one metadata value.
+
+        ``update`` receives the currently stored JSON string (or None) and
+        returns the JSON string to store; the read and the write happen
+        under one writer transaction, so two concurrent updaters — e.g.
+        two query processes writing memoized replay values back to the
+        same run — serialize instead of losing each other's merge.  The
+        stored result is returned.  ``update`` must be pure.
+        """
         # BEGIN IMMEDIATE takes the write lock *before* the read, so the
         # read-modify-write is one serialized transaction even across
         # processes sharing this manifest (a deferred transaction would
@@ -554,11 +365,17 @@ class LocalSQLiteBackend(StorageBackend):
             conn.commit()
             return value_json
 
-    def all_metadata_json(self):
+    def all_metadata_json(self) -> dict[str, str]:
         rows = self._query("SELECT key, value FROM run_metadata")
         return {key: value for key, value in rows}
 
-    def metadata_keys(self, prefix=""):
+    def metadata_keys(self, prefix: str = "") -> list[str]:
+        """Sorted metadata keys starting with ``prefix`` (an index scan).
+
+        The hindsight query engine namespaces its write-back entries under
+        prefixed keys (``memo:<digest>``); listing by prefix lets it
+        enumerate memoized value sets without decoding every value.
+        """
         # LIKE with an escaped prefix would need ESCAPE gymnastics for keys
         # containing % or _; a range scan on the primary key is simpler and
         # just as index-friendly.
@@ -568,13 +385,17 @@ class LocalSQLiteBackend(StorageBackend):
         return [row[0] for row in rows if row[0].startswith(prefix)]
 
     # -- lifecycle --------------------------------------------------------
-    def flush(self):
+    def flush(self) -> None:
         with self._lock:
             if self._conn is not None and self._conn_pid == os.getpid():
                 self._conn.commit()
 
-    def close(self):
+    def close(self) -> None:
+        """Release the connection (reopened lazily if used again)."""
         with self._lock:
+            if self.path is None:  # the in-memory connection is the data
+                self.flush()
+                return
             if self._conn is not None and self._conn_pid == os.getpid():
                 self._conn.commit()
                 self._conn.close()
@@ -582,9 +403,227 @@ class LocalSQLiteBackend(StorageBackend):
             self._conn_pid = None
 
 
+def _load_or_init_shard_count(root_dir: Path, requested: int) -> int:
+    """The shard count recorded in ``shards.json``, written on first use."""
+    if requested < 1:
+        raise StorageError(f"num_shards must be >= 1, got {requested}")
+    manifest_path = root_dir / SHARD_MANIFEST_NAME
+    if manifest_path.exists():
+        try:
+            recorded = json.loads(manifest_path.read_text("utf-8"))
+            return int(recorded["num_shards"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StorageError(
+                f"corrupt shard manifest at {manifest_path}: {exc}"
+            ) from exc
+    root_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path.write_text(json.dumps(
+        {"version": 1, "num_shards": requested,
+         "partitioner": "sha256(block_id)[:8] % num_shards"}), "utf-8")
+    return requested
+
+
+class StorageBackend:
+    """A run's manifests behind a partitioner, over one payload plane.
+
+    ``shards`` holds one :class:`Manifest` per partition — one for the
+    ``local`` and ``memory`` layouts, ``num_shards`` for ``sharded`` —
+    and rows route by ``int(sha256(block_id)[:8], 16) % num_shards``,
+    stable across processes (``hash()`` is randomized for strings).  Run
+    metadata lives in shard 0.  Payloads go to the home-shared object
+    store when dedup is on; with ``dedup=False`` they are legacy files
+    under each shard's ``checkpoints/`` tree or, in memory, ``mem:``
+    entries of a dict.  The memory layout is not shared across processes
+    (a forked child writes into its own copy): use in-process strategies.
+    """
+
+    def __init__(self, root_dir: str | Path, name: str = "local", *,
+                 num_shards: int = DEFAULT_NUM_SHARDS, dedup: bool = True):
+        if name not in BACKEND_NAMES:
+            raise StorageError(
+                f"unknown storage backend {name!r}; known backends: "
+                f"{', '.join(BACKEND_NAMES)}")
+        self.name = name
+        self.root_dir = Path(root_dir)
+        home = self.root_dir.parent
+        self._payload_dirs: list[Path] = []
+        self._blobs: dict[str, bytes] | None = None
+        self._objects: PayloadObjectStore | None = None
+        if name == "memory":
+            self.shards = [Manifest(None)]
+            self._blobs = {}
+            # Shared per home so in-memory runs dedup against each other.
+            if dedup:
+                self._objects = MemoryObjectStore.for_dir(home)
+        else:
+            dirs = [self.root_dir]
+            if name == "sharded":
+                count = _load_or_init_shard_count(self.root_dir,
+                                                  int(num_shards))
+                dirs = [self.root_dir / "shards" / f"shard-{k:02d}"
+                        for k in range(count)]
+            self._payload_dirs = [d / "checkpoints" for d in dirs]
+            for payload_dir in self._payload_dirs:
+                payload_dir.mkdir(parents=True, exist_ok=True)
+            self.shards = [Manifest(d / "manifest.sqlite") for d in dirs]
+            # One object store per home: an identical payload is one blob
+            # whichever shard its row lands in, and across runs.
+            if dedup:
+                self._objects = FileObjectStore.for_dir(
+                    default_objects_dir(home))
+        self.num_shards = len(self.shards)
+        #: The manifest holding the run metadata table.
+        self.metadata: Manifest = self.shards[0]
+
+    def shard_for(self, block_id: str) -> int:
+        if self.num_shards == 1:
+            return 0
+        return int(stable_hash(block_id)[:8], 16) % self.num_shards
+
+    def _shard(self, block_id: str) -> Manifest:
+        return self.shards[self.shard_for(block_id)]
+
+    def _group_by_shard(self, items, block_of) -> dict[int, list]:
+        """Items bucketed by shard, buckets in first-appearance order."""
+        groups: dict[int, list] = {}
+        for item in items:
+            groups.setdefault(self.shard_for(block_of(item)), []).append(item)
+        return groups
+
+    # -- payload plane ----------------------------------------------------
+    def write_payload(self, block_id: str, execution_index: int,
+                      payload: bytes, *, digest: str | None = None) -> str:
+        """Durably store one payload and return its location string.
+
+        ``digest``, when the caller already hashed the payload for the
+        manifest, is reused as the content address instead of rehashing.
+        """
+        if self._objects is not None:
+            return self._objects.put(digest or digest_bytes(payload), payload)
+        if self._blobs is not None:
+            # No "//" in the scheme: locations round-trip through pathlib,
+            # which collapses duplicate slashes.
+            location = f"mem:{sanitize_block_id(block_id)}/{execution_index}"
+            self._blobs[location] = bytes(payload)
+            return location
+        path = (self._payload_dirs[self.shard_for(block_id)]
+                / sanitize_block_id(block_id) / f"{execution_index}.ckpt")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(payload)
+        return str(path)
+
+    def read_payload(self, location: str) -> bytes:
+        if self._blobs is None:
+            return Path(location).read_bytes()
+        object_digest = MemoryObjectStore.digest_of_location(location)
+        if object_digest is not None and self._objects is not None:
+            return self._objects.get(object_digest)
+        try:
+            return self._blobs[str(location)]
+        except KeyError:
+            raise StorageError(
+                f"no in-memory payload at {location!r}") from None
+
+    def discard_payload(self, location: str) -> int:
+        """Delete one *legacy* (per-execution) payload; returns bytes freed.
+
+        Content-addressed blobs are never deleted through this — they may
+        be shared — only by the lifecycle GC once unreferenced.
+        """
+        if self._blobs is not None:
+            if MemoryObjectStore.digest_of_location(location) is not None:
+                return 0
+            blob = self._blobs.pop(str(location), None)
+            return len(blob) if blob is not None else 0
+        path = Path(location)
+        if not any(path.is_relative_to(d) for d in self._payload_dirs):
+            return 0  # a shared blob or another run's file: GC's call
+        try:
+            nbytes = path.stat().st_size
+            path.unlink()
+            return nbytes
+        except FileNotFoundError:
+            return 0
+
+    def object_store(self) -> PayloadObjectStore | None:
+        """The content-addressed store payloads dedup into (None = legacy)."""
+        return self._objects
+
+    # -- manifest plane ---------------------------------------------------
+    def index_many(self, records: Sequence[CheckpointRecord]) -> None:
+        """Commit a batch of manifest rows: one transaction per shard."""
+        for shard, batch in self._group_by_shard(
+                records, lambda r: r.block_id).items():
+            self.shards[shard].index_many(batch)
+
+    def delete_many(self, keys: Sequence[tuple[str, int]]
+                    ) -> list[CheckpointRecord]:
+        """Delete manifest rows by key; returns the rows that existed.
+
+        The *manifest-first* half of retention: rows go in one transaction
+        per shard before any payload is discarded, so a crash in between
+        leaves orphaned payloads, never dangling rows.
+        """
+        deleted: list[CheckpointRecord] = []
+        for shard, batch in self._group_by_shard(
+                keys, lambda key: key[0]).items():
+            deleted.extend(self.shards[shard].delete_many(batch))
+        return deleted
+
+    def referenced_digests(self) -> dict[str, int]:
+        """``digest -> manifest row count``: refcounts derived, not stored.
+
+        Consistent with the rows by construction; the lifecycle GC unions
+        these across every run under a home before sweeping.
+        """
+        merged: Counter = Counter()
+        for shard in self.shards:
+            merged.update(shard.referenced_digests())
+        return dict(merged)
+
+    def lookup(self, block_id: str, execution_index: int
+               ) -> CheckpointRecord | None:
+        return self._shard(block_id).lookup(block_id, execution_index)
+
+    def executions(self, block_id: str) -> list[int]:
+        """Sorted execution indices of ``block_id`` with a checkpoint."""
+        return self._shard(block_id).executions(block_id)
+
+    def latest_execution_at_or_before(self, block_id: str,
+                                      execution_index: int) -> int | None:
+        return self._shard(block_id).latest_execution_at_or_before(
+            block_id, execution_index)
+
+    def blocks(self) -> list[str]:
+        return sorted({block for shard in self.shards
+                       for block in shard.blocks()})
+
+    def records(self) -> list[CheckpointRecord]:
+        merged = [record for shard in self.shards
+                  for record in shard.records()]
+        merged.sort(key=lambda r: (r.block_id, r.execution_index))
+        return merged
+
+    def totals(self) -> ManifestTotals:
+        """Checkpoint count and stored/raw byte sums: one scan per shard."""
+        return ManifestTotals(*(sum(column) for column in zip(
+            *(shard.totals() for shard in self.shards))))
+
+    # -- lifecycle --------------------------------------------------------
+    def flush(self) -> None:
+        """Make every accepted write durable."""
+        for shard in self.shards:
+            shard.flush()
+
+    def close(self) -> None:
+        """Release resources.  The backend reopens lazily if used again."""
+        for shard in self.shards:
+            shard.close()
+
+
 #: Process-wide registry of in-memory backends, keyed by resolved run dir,
 #: so reopening a store in the same process attaches to the same data.
-_MEMORY_REGISTRY: dict[str, "InMemoryBackend"] = {}
+_MEMORY_REGISTRY: dict[str, StorageBackend] = {}
 _MEMORY_REGISTRY_LOCK = threading.Lock()
 
 
@@ -592,343 +631,13 @@ def _registry_key(root_dir: str | Path) -> str:
     return str(Path(root_dir).expanduser().resolve())
 
 
-class InMemoryBackend(StorageBackend):
-    """Everything in process memory — for tests and benchmarks.
-
-    Not shared across processes: fork/IPC materialization and
-    multi-process parallel replay write into the child's copy.  Use it
-    with in-process strategies (``sequential``, ``thread``, ``spool`` in
-    thread mode) and single-worker replay.
-    """
-
-    name = "memory"
-
-    def __init__(self, root_dir: str | Path | None = None,
-                 object_store: PayloadObjectStore | None = None,
-                 dedup: bool = True):
-        self.root_dir = Path(root_dir) if root_dir is not None else None
-        if object_store is not None:
-            self._objects: PayloadObjectStore | None = object_store
-        elif dedup:
-            # Shared per home (run dir's parent) so in-memory runs under
-            # one home dedup against each other; a dirless backend gets a
-            # private store.
-            self._objects = (MemoryObjectStore.for_dir(self.root_dir.parent)
-                             if self.root_dir is not None
-                             else MemoryObjectStore())
-        else:
-            self._objects = None
-        self._lock = threading.RLock()
-        self._rows: dict[tuple[str, int], CheckpointRecord] = {}
-        self._payloads: dict[str, bytes] = {}
-        self._metadata: dict[str, str] = {}
-
-    @classmethod
-    def for_dir(cls, root_dir: str | Path,
-                dedup: bool = True) -> "InMemoryBackend":
-        """Attach to (or create) the registered backend for ``root_dir``.
-
-        ``dedup`` only matters on first creation; reattachment keeps the
-        layout the run was recorded under (mirroring how on-disk layout
-        sniffing wins over a reopening caller's configuration).
-        """
-        key = _registry_key(root_dir)
-        with _MEMORY_REGISTRY_LOCK:
-            backend = _MEMORY_REGISTRY.get(key)
-            if backend is None:
-                backend = _MEMORY_REGISTRY[key] = cls(root_dir, dedup=dedup)
-            return backend
-
-    @classmethod
-    def discard_dir(cls, root_dir: str | Path) -> None:
-        """Drop the registered backend for ``root_dir`` (test hygiene)."""
-        with _MEMORY_REGISTRY_LOCK:
-            _MEMORY_REGISTRY.pop(_registry_key(root_dir), None)
-
-    # -- payload plane ----------------------------------------------------
-    def write_payload(self, block_id, execution_index, payload, *,
-                      digest=None):
-        if self._objects is not None:
-            return self._objects.put(digest or digest_bytes(payload), payload)
-        # No "//" in the scheme: locations round-trip through pathlib, which
-        # collapses duplicate slashes.
-        location = f"mem:{sanitize_block_id(block_id)}/{execution_index}"
-        with self._lock:
-            self._payloads[location] = bytes(payload)
-        return location
-
-    def read_payload(self, location):
-        object_digest = MemoryObjectStore.digest_of_location(location)
-        if object_digest is not None:
-            if self._objects is None:
-                raise StorageError(
-                    f"content-addressed location {location!r} on a "
-                    "dedup-disabled in-memory backend")
-            return self._objects.get(object_digest)
-        with self._lock:
-            try:
-                return self._payloads[str(location)]
-            except KeyError:
-                raise StorageError(
-                    f"no in-memory payload at {location!r}") from None
-
-    def discard_payload(self, location):
-        if MemoryObjectStore.digest_of_location(location) is not None:
-            return 0  # shared blob: only GC may remove it
-        with self._lock:
-            blob = self._payloads.pop(str(location), None)
-        return len(blob) if blob is not None else 0
-
-    def object_store(self):
-        return self._objects
-
-    # -- manifest plane ---------------------------------------------------
-    def index_many(self, records):
-        with self._lock:
-            for record in records:
-                self._rows[(record.block_id, record.execution_index)] = record
-
-    def delete_many(self, keys):
-        deleted: list[CheckpointRecord] = []
-        with self._lock:
-            for key in keys:
-                record = self._rows.pop(tuple(key), None)
-                if record is not None:
-                    deleted.append(record)
-        return deleted
-
-    def referenced_digests(self):
-        counts: Counter = Counter()
-        with self._lock:
-            for record in self._rows.values():
-                if record.payload_digest:
-                    counts[record.payload_digest] += 1
-                counts.update(record.recipe_digests())
-        return dict(counts)
-
-    def lookup(self, block_id, execution_index):
-        with self._lock:
-            return self._rows.get((block_id, execution_index))
-
-    def executions(self, block_id):
-        with self._lock:
-            return sorted(index for block, index in self._rows
-                          if block == block_id)
-
-    def latest_execution_at_or_before(self, block_id, execution_index):
-        candidates = [index for index in self.executions(block_id)
-                      if index <= execution_index]
-        return max(candidates) if candidates else None
-
-    def blocks(self):
-        with self._lock:
-            return sorted({block for block, _ in self._rows})
-
-    def records(self):
-        with self._lock:
-            return [self._rows[key] for key in sorted(self._rows)]
-
-    def checkpoint_count(self):
-        with self._lock:
-            return len(self._rows)
-
-    def total_stored_nbytes(self):
-        with self._lock:
-            return sum(r.stored_nbytes for r in self._rows.values())
-
-    def total_raw_nbytes(self):
-        with self._lock:
-            return sum(r.raw_nbytes for r in self._rows.values())
-
-    # -- run metadata -----------------------------------------------------
-    def set_metadata_json(self, key, value_json):
-        with self._lock:
-            self._metadata[key] = value_json
-
-    def get_metadata_json(self, key):
-        with self._lock:
-            return self._metadata.get(key)
-
-    def update_metadata_json(self, key, update):
-        with self._lock:
-            value_json = update(self._metadata.get(key))
-            self._metadata[key] = value_json
-            return value_json
-
-    def all_metadata_json(self):
-        with self._lock:
-            return dict(self._metadata)
-
-    def metadata_keys(self, prefix=""):
-        with self._lock:
-            return sorted(key for key in self._metadata
-                          if key.startswith(prefix))
+def discard_memory_dir(run_dir: str | Path) -> None:
+    """Drop the registered in-memory backend for ``run_dir`` (test hygiene)."""
+    with _MEMORY_REGISTRY_LOCK:
+        _MEMORY_REGISTRY.pop(_registry_key(run_dir), None)
 
 
-class ShardedSQLiteBackend(StorageBackend):
-    """Partitions checkpoints across per-shard SQLite manifests.
-
-    Shard assignment is ``int(sha256(block_id)[:8], 16) % num_shards`` —
-    stable across processes and Python invocations (``hash()`` is
-    randomized for strings).  Each shard is a complete
-    :class:`LocalSQLiteBackend` under ``shards/shard-<k>/``, so writers of
-    different blocks commit to different SQLite files.  Run metadata lives
-    in shard 0.  ``shards.json`` at the root records the shard count;
-    a reopening store always honours the recorded count, so replaying a
-    sharded run needs no configuration.
-    """
-
-    name = "sharded"
-
-    def __init__(self, root_dir: str | Path,
-                 num_shards: int = DEFAULT_NUM_SHARDS,
-                 object_store: PayloadObjectStore | None = None,
-                 dedup: bool = True):
-        self.root_dir = Path(root_dir)
-        self.num_shards = self._load_or_init_manifest(int(num_shards))
-        # One object store for the whole run (and home): shard routing is
-        # a manifest-plane concern, dedup is a payload-plane one — an
-        # identical payload must collapse to one blob no matter which
-        # shard its manifest row lands in.
-        if object_store is None and dedup:
-            object_store = FileObjectStore.for_dir(
-                default_objects_dir(self.root_dir.parent))
-        self._objects = object_store
-        self.shards = [
-            LocalSQLiteBackend(self.root_dir / "shards" / f"shard-{k:02d}",
-                               object_store=object_store, dedup=dedup)
-            for k in range(self.num_shards)]
-
-    def _load_or_init_manifest(self, requested: int) -> int:
-        if requested < 1:
-            raise StorageError(f"num_shards must be >= 1, got {requested}")
-        manifest_path = self.root_dir / SHARD_MANIFEST_NAME
-        if manifest_path.exists():
-            try:
-                recorded = json.loads(manifest_path.read_text("utf-8"))
-                return int(recorded["num_shards"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise StorageError(
-                    f"corrupt shard manifest at {manifest_path}: {exc}"
-                ) from exc
-        self.root_dir.mkdir(parents=True, exist_ok=True)
-        manifest_path.write_text(json.dumps(
-            {"version": 1, "num_shards": requested,
-             "partitioner": "sha256(block_id)[:8] % num_shards"}), "utf-8")
-        return requested
-
-    def shard_for(self, block_id: str) -> int:
-        return int(stable_hash(block_id)[:8], 16) % self.num_shards
-
-    def _shard(self, block_id: str) -> LocalSQLiteBackend:
-        return self.shards[self.shard_for(block_id)]
-
-    # -- payload plane ----------------------------------------------------
-    def write_payload(self, block_id, execution_index, payload, *,
-                      digest=None):
-        return self._shard(block_id).write_payload(
-            block_id, execution_index, payload, digest=digest)
-
-    def read_payload(self, location):
-        return Path(location).read_bytes()
-
-    def discard_payload(self, location):
-        for shard in self.shards:
-            freed = shard.discard_payload(location)
-            if freed:
-                return freed
-        return 0
-
-    def object_store(self):
-        return self._objects
-
-    # -- manifest plane ---------------------------------------------------
-    def index_many(self, records):
-        by_shard: dict[int, list[CheckpointRecord]] = {}
-        for record in records:
-            by_shard.setdefault(self.shard_for(record.block_id),
-                                []).append(record)
-        for shard_index, batch in by_shard.items():
-            self.shards[shard_index].index_many(batch)
-
-    def delete_many(self, keys):
-        by_shard: dict[int, list[tuple[str, int]]] = {}
-        for block_id, execution_index in keys:
-            by_shard.setdefault(self.shard_for(block_id),
-                                []).append((block_id, execution_index))
-        deleted: list[CheckpointRecord] = []
-        for shard_index, batch in by_shard.items():
-            deleted.extend(self.shards[shard_index].delete_many(batch))
-        return deleted
-
-    def referenced_digests(self):
-        merged: Counter = Counter()
-        for shard in self.shards:
-            merged.update(shard.referenced_digests())
-        return dict(merged)
-
-    def lookup(self, block_id, execution_index):
-        return self._shard(block_id).lookup(block_id, execution_index)
-
-    def contains(self, block_id, execution_index):
-        return self._shard(block_id).contains(block_id, execution_index)
-
-    def executions(self, block_id):
-        return self._shard(block_id).executions(block_id)
-
-    def latest_execution_at_or_before(self, block_id, execution_index):
-        return self._shard(block_id).latest_execution_at_or_before(
-            block_id, execution_index)
-
-    def blocks(self):
-        merged: set[str] = set()
-        for shard in self.shards:
-            merged.update(shard.blocks())
-        return sorted(merged)
-
-    def records(self):
-        merged: list[CheckpointRecord] = []
-        for shard in self.shards:
-            merged.extend(shard.records())
-        merged.sort(key=lambda r: (r.block_id, r.execution_index))
-        return merged
-
-    def checkpoint_count(self):
-        return sum(shard.checkpoint_count() for shard in self.shards)
-
-    def total_stored_nbytes(self):
-        return sum(shard.total_stored_nbytes() for shard in self.shards)
-
-    def total_raw_nbytes(self):
-        return sum(shard.total_raw_nbytes() for shard in self.shards)
-
-    # -- run metadata (kept whole in shard 0) ------------------------------
-    def set_metadata_json(self, key, value_json):
-        self.shards[0].set_metadata_json(key, value_json)
-
-    def get_metadata_json(self, key):
-        return self.shards[0].get_metadata_json(key)
-
-    def update_metadata_json(self, key, update):
-        return self.shards[0].update_metadata_json(key, update)
-
-    def all_metadata_json(self):
-        return self.shards[0].all_metadata_json()
-
-    def metadata_keys(self, prefix=""):
-        return self.shards[0].metadata_keys(prefix)
-
-    # -- lifecycle --------------------------------------------------------
-    def flush(self):
-        for shard in self.shards:
-            shard.flush()
-
-    def close(self):
-        for shard in self.shards:
-            shard.close()
-
-
-def registered_memory_backends(home: str | Path) -> list[InMemoryBackend]:
+def registered_memory_backends(home: str | Path) -> list[StorageBackend]:
     """Registered in-memory backends whose run dir sits under ``home``.
 
     The lifecycle GC's view of in-memory runs: their manifests exist only
@@ -963,20 +672,22 @@ def resolve_backend(run_dir: str | Path,
     run_dir = Path(run_dir)
     shards = num_shards or DEFAULT_NUM_SHARDS
     if (run_dir / SHARD_MANIFEST_NAME).exists():
-        return ShardedSQLiteBackend(run_dir, num_shards=shards, dedup=dedup)
+        return StorageBackend(run_dir, "sharded", num_shards=shards,
+                              dedup=dedup)
     if (run_dir / "manifest.sqlite").exists():
         # An existing local run wins over any requested name: replaying a
         # recorded run must work regardless of the caller's configuration.
-        return LocalSQLiteBackend(run_dir, dedup=dedup)
-    registered = _MEMORY_REGISTRY.get(_registry_key(run_dir))
-    if registered is not None and backend in (None, "local", "memory"):
-        return registered
-    if backend == "memory":
-        return InMemoryBackend.for_dir(run_dir, dedup=dedup)
-    if backend == "sharded":
-        return ShardedSQLiteBackend(run_dir, num_shards=shards, dedup=dedup)
-    if backend in (None, "local"):
-        return LocalSQLiteBackend(run_dir, dedup=dedup)
-    raise StorageError(
-        f"unknown storage backend {backend!r}; known backends: "
-        f"{', '.join(BACKEND_NAMES)}")
+        return StorageBackend(run_dir, "local", dedup=dedup)
+    key = _registry_key(run_dir)
+    with _MEMORY_REGISTRY_LOCK:
+        registered = _MEMORY_REGISTRY.get(key)
+        if registered is not None and backend in (None, "local", "memory"):
+            return registered
+        if backend == "memory":
+            # ``dedup`` only matters on first creation: reattachment keeps
+            # the layout the run was recorded under.
+            registered = _MEMORY_REGISTRY[key] = StorageBackend(
+                run_dir, "memory", dedup=dedup)
+            return registered
+    return StorageBackend(run_dir, backend or "local", num_shards=shards,
+                          dedup=dedup)

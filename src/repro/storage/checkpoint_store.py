@@ -1,25 +1,32 @@
-"""The checkpoint store: one facade over pluggable storage backends.
+"""The checkpoint store: one facade over the storage backend.
 
-Layout per run (local backend, the default)::
+Layout per run (local layout, the default)::
 
     <home>/<run_id>/
-        manifest.sqlite        -- SQLite index of every checkpoint
-        checkpoints/           -- one payload file per Loop End Checkpoint
-            <block_id>/<execution_index>.ckpt
+        manifest.sqlite        -- SQLite index of every checkpoint + run metadata
+        checkpoints/           -- legacy per-execution payload files
+            <block_id>/<execution_index>.ckpt     (``dedup=False`` only)
         source/                -- snapshot of the user's code at record time
         record.log             -- the record-phase log (user metrics)
         replay-*.log           -- per-worker replay logs
+    <home>/objects/<d[:2]>/<digest>  -- content-addressed payload blobs,
+                                        shared by every run under the home
 
-The sharded backend replaces ``manifest.sqlite`` + ``checkpoints/`` with a
-``shards.json`` root manifest and ``shards/shard-<k>/`` subtrees, each a
-complete local layout; the in-memory backend keeps both planes in process
-memory.  See :mod:`repro.storage.backends` for the backend contract.
+With ``dedup`` on, payloads live in the home-shared object store.  Under
+the default configuration (``FlorConfig.chunking="fixed"``) a checkpoint
+is a *recipe* of content-addressed chunk blobs, of which only the new
+ones are written; with chunking off a whole payload is one blob named by
+its digest.  The sharded layout replaces
+``manifest.sqlite`` + ``checkpoints/`` with a ``shards.json`` root
+manifest and ``shards/shard-<k>/`` subtrees, each a complete local
+layout; the memory layout keeps the manifest on SQLite ``:memory:`` and
+the payloads in process memory.  See :mod:`repro.storage.backends`.
 
-:class:`CheckpointStore` owns what is common to every backend: payload
-compression, digests, timing measurements, JSON encoding of run metadata,
-and the source-code snapshots replay needs for probe detection (sources
-always live on the filesystem — they are tiny and the replayer reads them
-before any backend is involved).
+:class:`CheckpointStore` owns what is common to every layout: payload
+encoding and chunking, digests, timing measurements, JSON encoding of run
+metadata, and the source-code snapshots replay needs for probe detection
+(sources always live on the filesystem — they are tiny and the replayer
+reads them before any backend is involved).
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from ..telemetry import get_metrics, get_tracer
 from ..utils.hashing import digest_bytes
 from ..utils.timing import monotonic
 from . import compression
-from .backends import CheckpointRecord, StorageBackend, resolve_backend
+from .backends import (CheckpointRecord, ManifestTotals, StorageBackend,
+                       resolve_backend)
 from .chunking import DEFAULT_CHUNK_NBYTES, chunk_payload
 from .serializer import (SerializedCheckpoint, ValueSnapshot,
                          deserialize_checkpoint, payload_segments,
@@ -98,14 +106,10 @@ class CheckpointStore:
     # ------------------------------------------------------------------ #
     def set_metadata(self, key: str, value) -> None:
         """Store a JSON-serializable run-level metadata value."""
-        self.backend.set_metadata_json(key, json.dumps(value))
-
-    # ``put_metadata`` mirrors the checkpoint write path's put/get naming;
-    # the record close path uses it for scheduler-facing metadata.
-    put_metadata = set_metadata
+        self.backend.metadata.set_metadata_json(key, json.dumps(value))
 
     def get_metadata(self, key: str, default=None):
-        encoded = self.backend.get_metadata_json(key)
+        encoded = self.backend.metadata.get_metadata_json(key)
         if encoded is None:
             return default
         return json.loads(encoded)
@@ -119,13 +123,13 @@ class CheckpointStore:
         merging memoized replay values into one run — never lose each
         other's writes.  Returns the stored result.
         """
-        return json.loads(self.backend.update_metadata_json(
+        return json.loads(self.backend.metadata.update_metadata_json(
             key, lambda encoded: json.dumps(
                 update(None if encoded is None else json.loads(encoded)))))
 
     def all_metadata(self) -> dict:
-        return {key: json.loads(value)
-                for key, value in self.backend.all_metadata_json().items()}
+        encoded = self.backend.metadata.all_metadata_json()
+        return {key: json.loads(value) for key, value in encoded.items()}
 
     def metadata_keys(self, prefix: str = "") -> list[str]:
         """Sorted metadata keys starting with ``prefix``.
@@ -133,7 +137,7 @@ class CheckpointStore:
         The query engine's memo cache namespaces write-back entries under
         prefixed keys and enumerates them through this scan.
         """
-        return self.backend.metadata_keys(prefix)
+        return self.backend.metadata.metadata_keys(prefix)
 
     # ------------------------------------------------------------------ #
     # Source snapshots (needed for probe detection on replay)
@@ -169,7 +173,7 @@ class CheckpointStore:
                        serialized: SerializedCheckpoint) -> CheckpointRecord:
         """Persist an already-serialized checkpoint payload."""
         record = self.write_payload(block_id, execution_index, serialized)
-        self.backend.index(record)
+        self.backend.index_many([record])
         return record
 
     def chunking_active(self) -> bool:
@@ -333,7 +337,7 @@ class CheckpointStore:
     # Checkpoint read path
     # ------------------------------------------------------------------ #
     def contains(self, block_id: str, execution_index: int) -> bool:
-        return self.backend.contains(block_id, execution_index)
+        return self.backend.lookup(block_id, execution_index) is not None
 
     def get(self, block_id: str, execution_index: int,
             run_id: str = "?") -> list[ValueSnapshot]:
@@ -410,17 +414,12 @@ class CheckpointStore:
         return record
 
     def executions(self, block_id: str) -> list[int]:
-        """Sorted execution indices that have a materialized checkpoint."""
-        return self.backend.executions(block_id)
+        """Sorted execution indices that have a materialized checkpoint.
 
-    def list_executions(self, block_id: str) -> list[int]:
-        """Sorted execution indices with a materialized checkpoint.
-
-        The replay scheduler's alignment query (which iterations can a work
-        segment start after?) — routed to the backend, which may answer it
-        with an index-only scan.
+        Also the replay scheduler's alignment query: which iterations can
+        a work segment start after?
         """
-        return self.backend.list_executions(block_id)
+        return self.backend.executions(block_id)
 
     def latest_execution_at_or_before(self, block_id: str,
                                       execution_index: int) -> int | None:
@@ -466,14 +465,9 @@ class CheckpointStore:
     # ------------------------------------------------------------------ #
     # Aggregates (feed the storage-cost model)
     # ------------------------------------------------------------------ #
-    def total_stored_nbytes(self) -> int:
-        return self.backend.total_stored_nbytes()
-
-    def total_raw_nbytes(self) -> int:
-        return self.backend.total_raw_nbytes()
-
-    def checkpoint_count(self) -> int:
-        return self.backend.checkpoint_count()
+    def totals(self) -> ManifestTotals:
+        """Checkpoint count and stored/raw byte sums, in one manifest scan."""
+        return self.backend.totals()
 
     # ------------------------------------------------------------------ #
     # Lifecycle

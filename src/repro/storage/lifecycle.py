@@ -346,7 +346,7 @@ def prune_store(store: "CheckpointStore", policy: RetentionPolicy,
     unreferenced across the whole home.
     """
     with get_tracer().span("lifecycle.prune") as span:
-        report = PruneReport(examined=store.checkpoint_count())
+        report = PruneReport(examined=store.totals().checkpoints)
         plan = plan_retention(store, policy, now=now)
         if plan:
             report.released_at = time.time()
@@ -364,7 +364,7 @@ def retire_run(store: "CheckpointStore") -> PruneReport:
     blobs) while its manifest metadata, logs and catalog entry remain
     queryable.
     """
-    report = PruneReport(examined=store.checkpoint_count())
+    report = PruneReport(examined=store.totals().checkpoints)
     report.released_at = time.time()
     _delete_records(store, store.records(), report)
     report.kept = report.examined - report.pruned

@@ -7,7 +7,7 @@ rows — across blocks, executions and *runs* — reference it.  Identical
 checkpoints (a model that stopped improving, a re-recorded workload, a
 sweep over non-model hyperparameters) therefore cost one blob.
 
-Two implementations mirror the backend split:
+Two implementations, one per kind of payload plane:
 
 :class:`FileObjectStore`
     Blobs at ``<objects_dir>/<digest[:2]>/<digest>``, written atomically
@@ -16,11 +16,11 @@ Two implementations mirror the backend split:
     once placed; ``digest -> size/age`` is answered straight from the
     filesystem, so there is no index to keep transactionally consistent
     with the manifests that reference the blobs.  Local and sharded
-    backends under the same home share one store at ``<home>/objects``.
+    runs under the same home share one store at ``<home>/objects``.
 :class:`MemoryObjectStore`
-    A process-local dict, registered per home directory so in-memory
-    runs under one home dedup against each other (mirroring
-    ``InMemoryBackend``'s per-run-dir registry).
+    A process-local dict, registered per home directory so runs in the
+    memory layout under one home dedup against each other (mirroring the
+    per-run-dir registry of in-memory backends).
 
 Reference counts are *derived*, not stored: each backend can report
 ``payload_digest -> row count`` from its manifest

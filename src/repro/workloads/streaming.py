@@ -152,8 +152,7 @@ def run_streaming_record(workload_name: str = "cifr",
     store = CheckpointStore(recorded.run_dir)
     try:
         lifecycle = store.get_metadata("lifecycle") or {}
-        surviving = store.checkpoint_count()
-        stored = store.total_stored_nbytes()
+        totals = store.totals()
     finally:
         store.close()
     return StreamingRecordResult(
@@ -161,7 +160,7 @@ def run_streaming_record(workload_name: str = "cifr",
         run_dir=recorded.run_dir,
         iterations=max_iterations,
         wall_seconds=wall_seconds,
-        checkpoint_count=surviving,
-        stored_nbytes=stored,
+        checkpoint_count=totals.checkpoints,
+        stored_nbytes=totals.stored_nbytes,
         lifecycle=lifecycle,
     )

@@ -72,7 +72,7 @@ class TestPrunedHistoryReplay:
         report = store.prune(RetentionPolicy(keep_last_n=2))
         # Mid-history gone, the recent tail survives.
         assert report.pruned == EPOCHS - 2
-        assert store.list_executions("skipblock_0") == [4, 5]
+        assert store.executions("skipblock_0") == [4, 5]
         collect_garbage(flor_config.home)
         store.close()
 

@@ -112,7 +112,7 @@ class TestSparseParallelReplay:
             self, flor_config):
         recorded = record_sparse(period=3, name="sparse-align")
         store = CheckpointStore(flor_config.run_dir(recorded.run_id))
-        assert store.list_executions("skipblock_0") == [0, 3]
+        assert store.executions("skipblock_0") == [0, 3]
         assert store.get_metadata("loop_blocks") == ["skipblock_0"]
         stats = store.get_metadata("iteration_stats")
         assert len(stats["per_iteration_compute_seconds"]) == EPOCHS
@@ -149,7 +149,7 @@ class TestWeakInitDivergenceRegression:
         # starts every later segment right after an aligned checkpoint.
         recorded = record_sparse(period=4, name="weak-gap")
         store = CheckpointStore(flor_config.run_dir(recorded.run_id))
-        assert store.list_executions("skipblock_0") == [0, 4]
+        assert store.executions("skipblock_0") == [0, 4]
         segments = ReplayScheduler(store, EPOCHS, 2).static_segments()
         store.close()
         for segment in segments[1:]:
@@ -212,7 +212,7 @@ class TestForkSafetyRegression:
             # The parent session's store is still usable afterwards.
             parent.materializer.flush()
             assert parent.store.contains("warm", 0)
-        assert parent.store.list_executions("warm") == [0, 1, 2, 3]
+        assert parent.store.executions("warm") == [0, 1, 2, 3]
 
 
 class TestLogOrderingRegression:

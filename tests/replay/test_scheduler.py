@@ -21,15 +21,15 @@ def make_store(tmp_path, checkpoints: dict[str, list[int]],
     store = CheckpointStore(tmp_path / "run", backend="memory")
     for block_id, indices in checkpoints.items():
         for index in indices:
-            store.backend.index(CheckpointRecord(
+            store.backend.index_many([CheckpointRecord(
                 block_id=block_id, execution_index=index,
                 path=tmp_path / "x", raw_nbytes=10, stored_nbytes=5,
                 digest="d", serialize_seconds=0.0, write_seconds=0.0,
-                created_at=0.0))
+                created_at=0.0)])
     if loop_blocks is not None:
         store.set_metadata("loop_blocks", loop_blocks)
     if iteration_stats is not None:
-        store.put_metadata("iteration_stats", iteration_stats)
+        store.set_metadata("iteration_stats", iteration_stats)
     return store
 
 

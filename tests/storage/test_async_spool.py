@@ -75,11 +75,11 @@ class TestBatchedManifestCommits:
             # All five payloads complete in the background...
             wait_until(lambda: spool.stats.completed == 5)
             # ...but below the batch threshold nothing is indexed yet.
-            assert store.checkpoint_count() == 0
+            assert store.totals().checkpoints == 0
             assert spool.stats.manifest_commits == 0
             spool.flush()
             # Flush commits the remainder in one transaction.
-            assert store.checkpoint_count() == 5
+            assert store.totals().checkpoints == 5
             assert spool.stats.manifest_commits == 1
         finally:
             spool.close()
@@ -198,7 +198,7 @@ for epoch in range(3):
     def test_record_then_replay(self, tmp_path, backend_name):
         from repro.record.recorder import record_source
         from repro.replay.replayer import replay_script
-        from repro.storage.backends import InMemoryBackend
+        from repro.storage.backends import discard_memory_dir
 
         config = FlorConfig(home=tmp_path / "home",
                             background_materialization="spool",
@@ -215,7 +215,7 @@ for epoch in range(3):
                 r.value for r in recorded.log_records if r.name == "total"]
         finally:
             repro.reset_config()
-            InMemoryBackend.discard_dir(config.run_dir(recorded.run_id))
+            discard_memory_dir(config.run_dir(recorded.run_id))
 
     def test_spool_metadata_recorded(self, tmp_path):
         from repro.record.recorder import record_source

@@ -16,8 +16,7 @@ import pytest
 import repro
 from repro.config import FlorConfig
 from repro.exceptions import CheckpointNotFoundError, StorageError
-from repro.storage.backends import (InMemoryBackend, LocalSQLiteBackend,
-                                    ShardedSQLiteBackend, resolve_backend)
+from repro.storage.backends import discard_memory_dir, resolve_backend
 from repro.storage.checkpoint_store import CheckpointStore
 from repro.storage.objectstore import MemoryObjectStore
 from repro.storage.serializer import serialize_checkpoint, snapshot_value
@@ -41,7 +40,7 @@ def store(tmp_path, backend_name):
                             num_shards=3)
     yield store
     store.close()
-    InMemoryBackend.discard_dir(tmp_path / "run")
+    discard_memory_dir(tmp_path / "run")
     MemoryObjectStore.discard_dir(tmp_path)
 
 
@@ -67,7 +66,7 @@ class TestConformance:
         store.put("train", 0, make_snapshots(9.0))
         np.testing.assert_allclose(store.get("train", 0)[0].payload,
                                    np.full(64, 9.0))
-        assert store.checkpoint_count() == 1
+        assert store.totals().checkpoints == 1
 
     def test_manifest_queries(self, store):
         for index in (4, 0, 2):
@@ -75,9 +74,6 @@ class TestConformance:
         store.put("eval", 1, make_snapshots())
         assert store.executions("train") == [0, 2, 4]
         assert store.executions("missing") == []
-        # The scheduler-facing alias answers the same question.
-        assert store.list_executions("train") == [0, 2, 4]
-        assert store.list_executions("missing") == []
         assert store.latest_execution_at_or_before("train", 3) == 2
         assert store.latest_execution_at_or_before("train", 4) == 4
         assert store.latest_execution_at_or_before("missing", 4) is None
@@ -90,9 +86,12 @@ class TestConformance:
     def test_totals(self, store):
         for index in range(3):
             store.put("train", index, make_snapshots(float(index)))
-        assert store.checkpoint_count() == 3
-        assert store.total_stored_nbytes() > 0
-        assert store.total_raw_nbytes() > 0
+        totals = store.totals()
+        assert totals.checkpoints == 3
+        assert totals.stored_nbytes == sum(
+            r.stored_nbytes for r in store.records())
+        assert totals.raw_nbytes == sum(r.raw_nbytes for r in store.records())
+        assert totals.raw_nbytes > 0
 
     def test_batched_index_commit(self, store):
         serialized_records = [
@@ -101,9 +100,9 @@ class TestConformance:
                                     make_snapshots(float(index))))
             for index in range(5)]
         # Payloads written, nothing indexed yet.
-        assert store.checkpoint_count() == 0
+        assert store.totals().checkpoints == 0
         store.index_records(serialized_records)
-        assert store.checkpoint_count() == 5
+        assert store.totals().checkpoints == 5
         assert store.executions("train") == [0, 1, 2, 3, 4]
 
     def test_metadata_roundtrip(self, store):
@@ -137,7 +136,9 @@ class TestConformance:
     def test_reopen_preserves_contents(self, store, tmp_path, backend_name):
         store.put("train", 0, make_snapshots(5.0))
         store.set_metadata("run_id", "abc")
-        store.flush()
+        # Close, not just flush: the memory layout's manifest is a SQLite
+        # ``:memory:`` database, which a dropped connection would lose.
+        store.close()
         reopened = CheckpointStore(tmp_path / "run", backend=backend_name,
                                    num_shards=3)
         assert reopened.get_metadata("run_id") == "abc"
@@ -154,7 +155,7 @@ class TestConformance:
         record = store.put("train", 0, make_snapshots())
         assert record.stored_nbytes == record.raw_nbytes
         assert store.get("train", 0)[0].name == "weights"
-        InMemoryBackend.discard_dir(tmp_path / "raw")
+        discard_memory_dir(tmp_path / "raw")
 
 
 class TestDedupConformance:
@@ -167,9 +168,9 @@ class TestDedupConformance:
         assert objects is not None
         assert objects.stats().objects == 1
         # Logical accounting still charges every row full price.
-        assert store.checkpoint_count() == 4
+        assert store.totals().checkpoints == 4
         one = store.describe("train", 0).stored_nbytes
-        assert store.total_stored_nbytes() == 4 * one
+        assert store.totals().stored_nbytes == 4 * one
 
     def test_identical_payloads_dedup_across_blocks(self, store):
         store.put("train", 0, make_snapshots(3.0))
@@ -225,7 +226,7 @@ class TestDedupConformance:
         assert store.get("train", 0)[0].name == "weights"
         assert store.get("train", 1)[0].name == "weights"
         store.close()
-        InMemoryBackend.discard_dir(tmp_path / "plain")
+        discard_memory_dir(tmp_path / "plain")
 
     def test_dedup_store_reads_legacy_run(self, tmp_path, backend_name):
         legacy = CheckpointStore(tmp_path / "run2", backend=backend_name,
@@ -241,7 +242,7 @@ class TestDedupConformance:
                                        dedup=True)
         np.testing.assert_allclose(reopened.get("train", 0)[0].payload,
                                    np.full(64, 8.0))
-        InMemoryBackend.discard_dir(tmp_path / "run2")
+        discard_memory_dir(tmp_path / "run2")
 
     def test_cross_run_dedup_under_one_home(self, tmp_path, backend_name):
         store_a = CheckpointStore(tmp_path / "run-a", backend=backend_name,
@@ -255,23 +256,24 @@ class TestDedupConformance:
         assert objects_a is objects_b  # one shared store per home
         assert objects_a.stats().objects == 1
         for run in ("run-a", "run-b"):
-            InMemoryBackend.discard_dir(tmp_path / run)
+            discard_memory_dir(tmp_path / run)
         MemoryObjectStore.discard_dir(tmp_path)
 
 
 class TestLocalBackend:
     def test_single_connection_reused(self, tmp_path):
-        backend = LocalSQLiteBackend(tmp_path / "run")
-        first = backend._connection()
+        backend = resolve_backend(tmp_path / "run", "local")
+        manifest = backend.shards[0]
+        first = manifest._connection()
         backend.blocks()
-        assert backend._connection() is first
+        assert manifest._connection() is first
         backend.close()
         # Reopens lazily after close.
-        assert backend.checkpoint_count() == 0
+        assert backend.totals().checkpoints == 0
 
     def test_wal_mode(self, tmp_path):
-        backend = LocalSQLiteBackend(tmp_path / "run")
-        mode = backend._connection().execute(
+        backend = resolve_backend(tmp_path / "run", "local")
+        mode = backend.shards[0]._connection().execute(
             "PRAGMA journal_mode").fetchone()[0]
         assert mode.lower() == "wal"
 
@@ -283,7 +285,7 @@ class TestMemoryBackend:
         assert str(record.path).startswith("mem:")
         assert not (tmp_path / "run" / "manifest.sqlite").exists()
         assert not (tmp_path / "run" / "checkpoints").exists()
-        InMemoryBackend.discard_dir(tmp_path / "run")
+        discard_memory_dir(tmp_path / "run")
 
     def test_registry_reattach_without_backend_name(self, tmp_path):
         store = CheckpointStore(tmp_path / "run", backend="memory")
@@ -291,12 +293,13 @@ class TestMemoryBackend:
         # A caller that does not know the run was in-memory still finds it.
         reopened = CheckpointStore(tmp_path / "run")
         assert reopened.backend is store.backend
-        InMemoryBackend.discard_dir(tmp_path / "run")
+        discard_memory_dir(tmp_path / "run")
 
     def test_missing_payload_raises_storage_error(self, tmp_path):
-        backend = InMemoryBackend()
+        backend = resolve_backend(tmp_path / "run", "memory")
         with pytest.raises(StorageError):
             backend.read_payload("mem:never/0")
+        discard_memory_dir(tmp_path / "run")
 
     def test_existing_local_run_wins_over_memory_request(self, tmp_path):
         # Record-time layout on disk must be honoured even when the
@@ -324,16 +327,16 @@ class TestShardedBackend:
         assert shard_dirs == ["shard-00", "shard-01", "shard-02"]
 
     def test_stable_partitioning(self, tmp_path):
-        backend = ShardedSQLiteBackend(tmp_path / "run", num_shards=5)
+        backend = resolve_backend(tmp_path / "run", "sharded", num_shards=5)
         assignments = {bid: backend.shard_for(bid)
                        for bid in ("train", "eval", "epoch-7")}
-        reopened = ShardedSQLiteBackend(tmp_path / "run", num_shards=5)
+        reopened = resolve_backend(tmp_path / "run", "sharded", num_shards=5)
         for bid, shard in assignments.items():
             assert reopened.shard_for(bid) == shard
             assert 0 <= shard < 5
 
     def test_blocks_spread_across_shards(self, tmp_path):
-        backend = ShardedSQLiteBackend(tmp_path / "run", num_shards=4)
+        backend = resolve_backend(tmp_path / "run", "sharded", num_shards=4)
         used = {backend.shard_for(f"block-{i}") for i in range(32)}
         assert len(used) > 1
 
@@ -358,7 +361,7 @@ class TestShardedBackend:
         run.mkdir()
         (run / "shards.json").write_text("{not json", "utf-8")
         with pytest.raises(StorageError, match="corrupt shard manifest"):
-            ShardedSQLiteBackend(run)
+            resolve_backend(run, "sharded")
 
 
 class TestResolveBackend:
@@ -367,8 +370,9 @@ class TestResolveBackend:
             resolve_backend(tmp_path / "run", "s3-glacier")
 
     def test_explicit_instance_wins(self, tmp_path):
-        backend = InMemoryBackend()
-        assert resolve_backend(tmp_path / "run", backend) is backend
+        backend = resolve_backend(tmp_path / "run", "memory")
+        assert resolve_backend(tmp_path / "other", backend) is backend
+        discard_memory_dir(tmp_path / "run")
 
 
 class TestShardedReplayRoundtrip:
@@ -446,7 +450,7 @@ def _assert_writers_landed(home, backend_name: str, count: int) -> None:
               for i in range(count)]
     try:
         for i, store in enumerate(stores):
-            assert store.checkpoint_count() == WRITER_ROWS, \
+            assert store.totals().checkpoints == WRITER_ROWS, \
                 f"writer {i} lost manifest rows"
             assert store.executions("train") == list(range(WRITER_ROWS))
             assert_manifest_closed(store)
@@ -459,7 +463,7 @@ def _assert_writers_landed(home, backend_name: str, count: int) -> None:
 
 def _discard_memory_state(home, count: int) -> None:
     for i in range(count):
-        InMemoryBackend.discard_dir(home / f"writer-{i}")
+        discard_memory_dir(home / f"writer-{i}")
     MemoryObjectStore.discard_dir(home)
 
 
@@ -490,6 +494,43 @@ class TestConcurrentWriters:
             _assert_writers_landed(home, backend_name, self.WRITERS)
         finally:
             _discard_memory_state(home, self.WRITERS)
+
+    def test_threads_share_one_store(self, store):
+        """One store, more writer threads than cores, a tiny switch interval:
+        no manifest row and no metadata read-modify-write may be lost."""
+        import sys
+        import threading
+        from faultutils import assert_manifest_closed
+        rows = 12
+        errors = []
+
+        def run(index):
+            try:
+                for j in range(rows):
+                    store.put(f"block-{index}", j,
+                              make_snapshots(float(j % 3), size=16))
+                    store.update_metadata("puts", lambda n: (n or 0) + 1)
+            except Exception as exc:  # surfaced in the main thread
+                errors.append((index, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(self.WRITERS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert store.totals().checkpoints == self.WRITERS * rows
+        assert store.get_metadata("puts") == self.WRITERS * rows
+        for index in range(self.WRITERS):
+            assert store.executions(f"block-{index}") == list(range(rows))
+        assert_manifest_closed(store)
 
     @pytest.mark.multiproc
     @pytest.mark.parametrize("process_backend", ["local", "sharded"])

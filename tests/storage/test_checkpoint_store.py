@@ -43,7 +43,7 @@ class TestCheckpointRoundtrip:
         store.put("train", 0, make_snapshots(9.0))
         snapshots = store.get("train", 0)
         np.testing.assert_allclose(snapshots[0].payload, np.full(16, 9.0))
-        assert store.checkpoint_count() == 1
+        assert store.totals().checkpoints == 1
 
     def test_uncompressed_store(self, tmp_path):
         store = CheckpointStore(tmp_path / "run", compress=False)
@@ -96,9 +96,9 @@ class TestManifestQueries:
         store = CheckpointStore(tmp_path / "run")
         for index in range(3):
             store.put("train", index, make_snapshots())
-        assert store.checkpoint_count() == 3
-        assert store.total_stored_nbytes() > 0
-        assert store.total_raw_nbytes() >= store.total_stored_nbytes() or True
+        assert store.totals().checkpoints == 3
+        assert store.totals().stored_nbytes > 0
+        assert store.totals().raw_nbytes >= store.totals().stored_nbytes or True
 
     def test_block_id_sanitized_for_filesystem(self, tmp_path):
         store = CheckpointStore(tmp_path / "run")

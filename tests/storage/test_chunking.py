@@ -26,7 +26,7 @@ from faultutils import (InjectedCrash, assert_crash_consistent,
                         assert_no_orphans, assert_refcounts_exact,
                         crash_calls)
 from repro.exceptions import SerializationError, StorageError
-from repro.storage.backends import InMemoryBackend
+from repro.storage.backends import discard_memory_dir
 from repro.storage.checkpoint_store import (RECIPE_LOCATION_PREFIX,
                                             CheckpointStore)
 from repro.storage.chunking import chunk_payload, chunk_spans
@@ -50,7 +50,7 @@ def backend_name(request):
 def home(tmp_path):
     yield tmp_path
     for run in ("run", "run-a", "run-b"):
-        InMemoryBackend.discard_dir(tmp_path / run)
+        discard_memory_dir(tmp_path / run)
     MemoryObjectStore.discard_dir(tmp_path)
 
 

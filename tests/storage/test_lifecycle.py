@@ -25,7 +25,7 @@ from faultutils import (InjectedCrash, assert_crash_consistent,
                         assert_manifest_closed, assert_no_orphans,
                         crash_calls)
 from repro.exceptions import StorageError
-from repro.storage.backends import InMemoryBackend
+from repro.storage.backends import discard_memory_dir
 from repro.storage.checkpoint_store import CheckpointStore
 from repro.storage.lifecycle import (LifecycleManager, RetentionPolicy,
                                      collect_garbage, measure_storage,
@@ -55,7 +55,7 @@ def backend_name(request):
 def home(tmp_path):
     yield tmp_path
     for run in ("run", "run-a", "run-b"):
-        InMemoryBackend.discard_dir(tmp_path / run)
+        discard_memory_dir(tmp_path / run)
     MemoryObjectStore.discard_dir(tmp_path)
 
 
@@ -153,7 +153,7 @@ class TestPruneAndGC:
         assert before.physical_objects == 5
         prune_store(store, RetentionPolicy(keep_last_n=2))
         # Manifest-first: rows are gone but blobs wait for the sweep.
-        assert store.checkpoint_count() == 2
+        assert store.totals().checkpoints == 2
         report = collect_garbage(home)
         assert report.swept_objects == 3
         assert report.swept_nbytes > 0
@@ -206,7 +206,7 @@ class TestPruneAndGC:
             store.put("train", index, make_snapshots(float(index)))
         report = retire_run(store)
         assert report.pruned == 4
-        assert store.checkpoint_count() == 0
+        assert store.totals().checkpoints == 0
         collect_garbage(home)
         assert measure_storage(home).physical_objects == 0
 
@@ -464,7 +464,7 @@ class TestCrashMidCommit:
         record = store.write_payload("train", 0, _serialized(1.0))
         # "Crash": the record never reaches index_records.  The payload
         # exists (write-ahead), the manifest does not reference it.
-        assert store.checkpoint_count() == 0
+        assert store.totals().checkpoints == 0
         assert store.backend.read_payload(str(record.path))
         assert_no_orphans(home)  # one sweep reclaims the stranded blob
         assert measure_storage(home).physical_objects == 0

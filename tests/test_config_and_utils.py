@@ -114,6 +114,30 @@ def test_knob_census():
     ]
 
 
+def test_storage_export_census():
+    """Every name ``repro.storage`` exports, so adding or removing one shows.
+
+    One concrete ``StorageBackend`` serves every layout; the per-layout
+    backend classes are gone and must not come back as exports.
+    """
+    import repro.storage
+    assert sorted(repro.storage.__all__) == [
+        "AsyncSpool", "AsyncSpoolStats", "BACKEND_NAMES", "CheckpointRecord",
+        "CheckpointStore", "CompressionResult", "FileObjectStore",
+        "GCReport", "GiB", "INSTANCE_PRICES", "InstanceType",
+        "LifecycleManager", "MemoryObjectStore", "ObjectStoreStats",
+        "PayloadObjectStore", "PruneReport", "RetentionPolicy",
+        "S3_PRICE_PER_GB_MONTH", "SerializedCheckpoint", "StorageBackend",
+        "StorageStats", "ValueSnapshot", "collect_garbage", "compress",
+        "compression_ratio", "compute_cost", "decompress",
+        "deserialize_checkpoint", "gb", "measure_storage", "plan_retention",
+        "prune_store", "resolve_backend", "restore_value", "retire_run",
+        "serialize_checkpoint", "snapshot_value", "storage_cost_per_month",
+    ]
+    for name in repro.storage.__all__:
+        assert hasattr(repro.storage, name), name
+
+
 class TestNaming:
     def test_slugify(self):
         assert slugify("ResNet-152 on Cifar100!") == "resnet-152-on-cifar100"

@@ -142,9 +142,9 @@ def _assert_shared_home_consistent(config, run_ids, expected_iterations=None,
             rows = assert_manifest_closed(store)
             assert rows > 0, f"worker {run_id} lost its manifest"
             if expected_iterations is not None:
-                assert store.checkpoint_count() >= expected_iterations, (
+                assert store.totals().checkpoints >= expected_iterations, (
                     f"worker {run_id} lost manifest rows: "
-                    f"{store.checkpoint_count()} < {expected_iterations}")
+                    f"{store.totals().checkpoints} < {expected_iterations}")
         for store in extra:
             assert_manifest_closed(store)
         assert_no_orphans(config.home)
