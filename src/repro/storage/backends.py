@@ -36,6 +36,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from ..exceptions import StorageError
 from ..utils.hashing import digest_bytes, stable_hash
+from ..utils.timing import monotonic
 from .objectstore import (FileObjectStore, MemoryObjectStore,
                           PayloadObjectStore, default_objects_dir)
 
@@ -61,6 +63,9 @@ DEFAULT_NUM_SHARDS = 4
 #: Filename of the sharded backend's root manifest (also the sniffing key
 #: that lets a reopening store detect a sharded layout).
 SHARD_MANIFEST_NAME = "shards.json"
+
+#: How long a manifest connection waits out another connection's lock.
+_BUSY_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -202,19 +207,43 @@ class Manifest:
                                   and self.path is not None):
             # After fork the inherited connection object must not be used
             # (or even closed) in the child; just drop the reference.
-            self._conn = sqlite3.connect(self.path or ":memory:", timeout=30.0,
-                                         check_same_thread=False)
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
+            conn = sqlite3.connect(self.path or ":memory:",
+                                   timeout=_BUSY_TIMEOUT_S,
+                                   check_same_thread=False)
             # Shared homes see cross-process contention: a GC pass opens
             # other runs' manifests to mark references while their owners
-            # commit batches.  busy_timeout makes SQLite retry-wait at
-            # the C level instead of surfacing "database is locked" to a
-            # writer mid-record (the connect-level timeout only covers
-            # acquiring the initial lock, not later lock upgrades).
-            self._conn.execute("PRAGMA busy_timeout=30000")
+            # create them or commit batches.  busy_timeout makes SQLite
+            # retry-wait at the C level instead of surfacing "database is
+            # locked" (the connect-level timeout only covers acquiring the
+            # initial lock, not later lock upgrades).
+            conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")
+            if self.path is not None:
+                self._enable_wal(conn)
+            conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn = conn
             self._conn_pid = pid
         return self._conn
+
+    @staticmethod
+    def _enable_wal(conn: sqlite3.Connection) -> None:
+        """Put an on-disk manifest in WAL mode, riding out a busy creator.
+
+        A manifest already in WAL (every reopen) skips the switch.  The
+        switch takes a lock SQLite does not always wait for through
+        ``busy_timeout`` — a GC pass opening a manifest its writer is
+        creating got "database is locked" — so a busy switch is retried
+        within the same budget.
+        """
+        deadline = monotonic() + _BUSY_TIMEOUT_S
+        while True:
+            try:
+                if conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+                    conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or monotonic() >= deadline:
+                    raise
+            time.sleep(0.01)
 
     def _query(self, sql: str, params: tuple = ()):
         with self._lock:
@@ -417,9 +446,14 @@ def _load_or_init_shard_count(root_dir: Path, requested: int) -> int:
                 f"corrupt shard manifest at {manifest_path}: {exc}"
             ) from exc
     root_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(json.dumps(
+    # Temp file + atomic rename: a GC pass sniffing the run mid-create
+    # must never read a half-written root manifest.
+    tmp = manifest_path.with_name(f"{SHARD_MANIFEST_NAME}.{os.getpid()}-"
+                                  f"{threading.get_ident()}.tmp")
+    tmp.write_text(json.dumps(
         {"version": 1, "num_shards": requested,
          "partitioner": "sha256(block_id)[:8] % num_shards"}), "utf-8")
+    os.replace(tmp, manifest_path)
     return requested
 
 

@@ -35,6 +35,7 @@ import json
 import time
 from collections import Counter
 from pathlib import Path
+from typing import Mapping
 
 from ..exceptions import (CheckpointNotFoundError, SerializationError,
                           StorageError)
@@ -84,6 +85,9 @@ class CheckpointStore:
         self.codec_level = codec_level
         self.backend: StorageBackend = resolve_backend(
             self.run_dir, backend, num_shards=num_shards, dedup=dedup)
+        # ``digest -> raw bytes`` of the last chunked ``get``'s verified
+        # chunks: at most one checkpoint, replaced (never grown) per read.
+        self._restored_chunks: dict[str, bytes] = {}
 
     @classmethod
     def for_config(cls, run_dir: str | Path, config) -> "CheckpointStore":
@@ -347,12 +351,23 @@ class CheckpointStore:
         reassemble from their recipe, whole rows read one location — so a
         store opened with any chunking/codec setting replays runs
         recorded under any other (including legacy recipe-less runs).
+
+        A chunked read costs what changed since this store's previous
+        chunked read: chunks that read verified are reused by digest,
+        the rest come from the object store.  Sequential replay
+        and query jobs restore checkpoints in ascending order, so the
+        previous restore is the nearest neighbour (the frozen part of a
+        model costs nothing twice).  The full-payload digest is checked
+        on every read.
         """
         with get_tracer().span("storage.get", block_id=block_id,
                                execution_index=execution_index) as span:
             record = self.describe(block_id, execution_index, run_id=run_id)
             if record.is_chunked():
-                payload = self._reassemble(record)
+                previous = self._restored_chunks
+                payload, chunks = self._reassemble(record, reuse=previous)
+                self._restored_chunks = chunks
+                span.set(reused=len(chunks.keys() & previous.keys()))
             else:
                 payload = self.backend.read_payload(str(record.path))
                 # Frame/gzip-magic dispatch; legacy uncompressed payloads
@@ -362,13 +377,18 @@ class CheckpointStore:
             get_metrics().inc("storage.bytes_read", len(payload))
             return deserialize_checkpoint(payload)
 
-    def _reassemble(self, record: CheckpointRecord) -> bytes:
+    def _reassemble(self, record: CheckpointRecord,
+                    reuse: Mapping[str, bytes] | None = None
+                    ) -> tuple[bytes, dict[str, bytes]]:
         """Join a chunked row's payload back together, verifying each chunk.
 
-        Chunk digests address RAW chunk bytes, so every chunk is verified
-        after decoding and the joined payload is verified against the
-        row's full-payload digest — a missing or corrupted blob surfaces
-        as a :class:`SerializationError` naming the exact chunk.
+        Returns the payload and its ``digest -> raw chunk`` map.  Chunks
+        found in ``reuse`` (raw bytes an earlier reassembly verified) are
+        taken from it; every other chunk is read from the object store,
+        decoded and verified against its digest — chunk digests address
+        RAW chunk bytes.  The joined payload is always verified against
+        the row's full-payload digest.  A missing or corrupted blob
+        surfaces as a :class:`SerializationError` naming the exact chunk.
         """
         objects = self.backend.object_store()
         where = f"{record.block_id}[{record.execution_index}]"
@@ -376,34 +396,43 @@ class CheckpointStore:
             raise SerializationError(
                 f"checkpoint {where} is chunked but the backend has no "
                 "object store (recorded with dedup, opened without?)")
+        reuse = reuse or {}
         digests = record.recipe_digests()
+        chunks: dict[str, bytes] = {}
         parts: list[bytes] = []
         for position, chunk_digest in enumerate(digests):
-            try:
-                blob = objects.get(chunk_digest)
-            except StorageError as exc:
-                raise SerializationError(
-                    f"checkpoint {where} chunk {position + 1}/{len(digests)} "
-                    f"is missing from the object store: {exc}") from exc
-            try:
-                raw = compression.decompress(blob)
-            except Exception as exc:
-                raise SerializationError(
-                    f"checkpoint {where} chunk {position + 1}/{len(digests)} "
-                    f"({chunk_digest[:12]}…) failed to decode: {exc}"
-                ) from exc
-            if digest_bytes(raw) != chunk_digest:
-                raise SerializationError(
-                    f"checkpoint {where} chunk {position + 1}/{len(digests)} "
-                    f"is corrupt: content does not match digest "
-                    f"{chunk_digest[:12]}…")
-            parts.append(raw)
+            if chunk_digest not in chunks:
+                chunks[chunk_digest] = reuse.get(chunk_digest) or (
+                    self._read_chunk(objects, chunk_digest,
+                                     f"checkpoint {where} chunk "
+                                     f"{position + 1}/{len(digests)}"))
+            parts.append(chunks[chunk_digest])
         payload = b"".join(parts)
         if digest_bytes(payload) != record.digest:
             raise SerializationError(
                 f"checkpoint {where} reassembled from {len(digests)} chunks "
                 "does not match its manifest digest")
-        return payload
+        return payload, chunks
+
+    @staticmethod
+    def _read_chunk(objects, chunk_digest: str, what: str) -> bytes:
+        """One chunk's raw bytes from the object store, digest-verified."""
+        try:
+            blob = objects.get(chunk_digest)
+        except StorageError as exc:
+            raise SerializationError(
+                f"{what} is missing from the object store: {exc}") from exc
+        try:
+            raw = compression.decompress(blob)
+        except Exception as exc:
+            raise SerializationError(
+                f"{what} ({chunk_digest[:12]}…) failed to decode: {exc}"
+            ) from exc
+        if digest_bytes(raw) != chunk_digest:
+            raise SerializationError(
+                f"{what} is corrupt: content does not match digest "
+                f"{chunk_digest[:12]}…")
+        return raw
 
     def describe(self, block_id: str, execution_index: int,
                  run_id: str = "?") -> CheckpointRecord:

@@ -186,7 +186,8 @@ def decompress(data: bytes) -> bytes:
 
     Dispatches on the frame's codec id; falls back to the gzip magic for
     payloads from pre-frame runs, and passes anything else through
-    (the legacy uncompressed path).
+    (the legacy uncompressed path).  A ``raw`` frame decodes to a
+    ``memoryview`` over ``data`` past the frame head, not a copy.
     """
     if data[:4] == FRAME_MAGIC and len(data) >= 5:
         codec = _BY_ID.get(data[4])
@@ -194,7 +195,7 @@ def decompress(data: bytes) -> bytes:
             raise StorageError(
                 f"framed payload with unknown codec id {data[4]}")
         try:
-            return codec.decode(data[5:])
+            return codec.decode(memoryview(data)[5:])
         except Exception as exc:
             raise StorageError(
                 f"cannot decompress {codec.name} payload: {exc}") from exc

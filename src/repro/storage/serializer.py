@@ -248,15 +248,15 @@ def serialize_checkpoint(snapshots: list["ValueSnapshot"]
                                 serialize_seconds=elapsed)
 
 
-def _parse_frame(data) -> tuple[bytes, list[memoryview]]:
-    """Split an FLS2 payload into its pickle head and buffer views."""
+def _parse_frame(data) -> tuple[memoryview, list[memoryview]]:
+    """Split an FLS2 payload into pickle-head and buffer views (no copy)."""
     view = memoryview(data)
     try:
         magic, head_len, nbuffers = _FRAME_HEAD.unpack_from(view, 0)
         offset = _FRAME_HEAD.size
         lengths = struct.unpack_from(f"<{nbuffers}Q", view, offset)
         offset += 8 * nbuffers
-        head = bytes(view[offset:offset + head_len])
+        head = view[offset:offset + head_len]
         if len(head) != head_len:
             raise ValueError("truncated pickle head")
         offset += head_len

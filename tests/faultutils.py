@@ -112,7 +112,7 @@ def assert_manifest_closed(store) -> int:
             assert objects is not None, (
                 f"chunked row {record.block_id}[{record.execution_index}] "
                 f"but the backend has no object store")
-            payload = store._reassemble(record)
+            payload, _ = store._reassemble(record)
             assert digest_bytes(payload) == record.digest, (
                 f"reassembled payload does not match the manifest digest "
                 f"for {record.block_id}[{record.execution_index}]")

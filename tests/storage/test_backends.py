@@ -567,8 +567,11 @@ class TestConcurrentWriters:
                 errors.append((index, exc))
 
         def sweep():
-            while not stop.is_set():
-                collect_garbage(home, grace_seconds=60.0)
+            try:
+                while not stop.is_set():
+                    collect_garbage(home, grace_seconds=60.0)
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(("sweeper", exc))
 
         threads = [threading.Thread(target=run, args=(i,))
                    for i in range(self.WRITERS)]

@@ -94,11 +94,12 @@ class TestManifestQueries:
 
     def test_totals(self, tmp_path):
         store = CheckpointStore(tmp_path / "run")
-        for index in range(3):
-            store.put("train", index, make_snapshots())
-        assert store.totals().checkpoints == 3
-        assert store.totals().stored_nbytes > 0
-        assert store.totals().raw_nbytes >= store.totals().stored_nbytes or True
+        records = [store.put("train", index, make_snapshots())
+                   for index in range(3)]
+        totals = store.totals()
+        assert totals.checkpoints == 3
+        assert totals.stored_nbytes == sum(r.stored_nbytes for r in records)
+        assert totals.raw_nbytes == sum(r.raw_nbytes for r in records)
 
     def test_block_id_sanitized_for_filesystem(self, tmp_path):
         store = CheckpointStore(tmp_path / "run")

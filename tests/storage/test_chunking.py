@@ -19,6 +19,8 @@ Four layers of coverage for the chunked (delta) storage plane:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,8 @@ from repro.storage.checkpoint_store import (RECIPE_LOCATION_PREFIX,
                                             CheckpointStore)
 from repro.storage.chunking import chunk_payload, chunk_spans
 from repro.storage.objectstore import MemoryObjectStore
-from repro.storage.serializer import (payload_segments, serialize_checkpoint,
-                                      snapshot_value)
+from repro.storage.serializer import (payload_segments, restore_value,
+                                      serialize_checkpoint, snapshot_value)
 from repro.utils.hashing import digest_bytes
 
 BACKENDS = ["local", "memory", "sharded"]
@@ -321,6 +323,118 @@ class TestChunkFailures:
             objects.blob_path(digests[1]).read_bytes())
         with pytest.raises(SerializationError, match=r"chunk 1/\d+ is corrupt"):
             store.get("train", 0)
+
+
+# --------------------------------------------------------------------------- #
+# Delta restore: a read reuses the previous read's verified chunks
+# --------------------------------------------------------------------------- #
+def spy_reads(monkeypatch, store) -> list[str]:
+    """Record every digest ``store`` reads from its object store."""
+    objects = store.backend.object_store()
+    reads: list[str] = []
+    real_get = objects.get
+
+    def get(digest):
+        reads.append(digest)
+        return real_get(digest)
+
+    monkeypatch.setattr(objects, "get", get)
+    return reads
+
+
+def payload_bytes(snapshots) -> bytes:
+    return serialize_checkpoint(snapshots).data
+
+
+class TestDeltaRestore:
+    def test_neighbour_get_reads_only_new_chunks(self, home, backend_name,
+                                                 monkeypatch):
+        writer = open_store(home, backend_name)
+        first = writer.put("train", 0, model_snapshots(0.0))
+        second = writer.put("train", 1, model_snapshots(1.0))
+        writer.close()
+        reader = open_store(home, backend_name)
+        reads = spy_reads(monkeypatch, reader)
+        restored = [reader.get("train", 0)]
+        assert sorted(reads) == sorted(set(first.recipe_digests()))
+        reads.clear()
+        restored.append(reader.get("train", 1))
+        new = set(second.recipe_digests()) - set(first.recipe_digests())
+        assert new and sorted(reads) == sorted(new)
+        # Bit-identical to what a store with nothing to reuse returns.
+        for index, snapshots in enumerate(restored):
+            fresh = open_store(home, backend_name).get("train", index)
+            assert payload_bytes(snapshots) == payload_bytes(fresh)
+
+    def test_full_payload_digest_checked_on_every_get(self, home,
+                                                      monkeypatch):
+        import repro.storage.checkpoint_store as module
+        store = open_store(home, "local")
+        store.put("train", 0, model_snapshots(0.0))
+        store.get("train", 0)
+        hashed: list[int] = []
+        real = module.digest_bytes
+
+        def counting(data):
+            hashed.append(len(data))
+            return real(data)
+
+        monkeypatch.setattr(module, "digest_bytes", counting)
+        store.get("train", 0)  # every chunk reused: one hash, the payload's
+        assert hashed == [store.describe("train", 0).raw_nbytes]
+        # A wrong full-payload digest fails the read even though every
+        # chunk is reused.
+        describe = store.describe
+        monkeypatch.setattr(store, "describe", lambda *args, **kwargs:
+                            replace(describe(*args, **kwargs),
+                                    digest="0" * 64))
+        with pytest.raises(SerializationError,
+                           match="does not match its manifest digest"):
+            store.get("train", 0)
+
+    def test_mutating_a_restored_value_does_not_reach_a_later_restore(
+            self, home, backend_name):
+        store = open_store(home, backend_name)
+        store.put("train", 0, model_snapshots(2.0) + [
+            snapshot_value("state", {"w": np.ones(512, np.float32)})])
+        expected = payload_bytes(store.get("train", 0))
+        for snapshot in store.get("train", 0):
+            value = restore_value(snapshot)
+            if isinstance(value, np.ndarray):
+                value += 1.0
+            elif isinstance(value, dict):
+                value["w"] += 1.0
+        assert payload_bytes(store.get("train", 0)) == expected
+
+    def test_blob_corrupted_after_a_get_is_reported_by_a_fresh_store(
+            self, home, backend_name):
+        store = open_store(home, backend_name)
+        record = store.put("train", 0, model_snapshots(0.0))
+        store.get("train", 0)
+        victim = record.recipe_digests()[0]
+        objects = store.backend.object_store()
+        blob = bytearray(objects.get(victim))
+        blob[-1] ^= 0xFF
+        objects.delete([victim])
+        objects.put(victim, bytes(blob))
+        with pytest.raises(SerializationError,
+                           match=r"chunk 1/\d+ .*(corrupt|failed to decode)"):
+            open_store(home, backend_name).get("train", 0)
+
+    def test_manifest_audit_reads_every_blob_each_call(self, home,
+                                                       backend_name,
+                                                       monkeypatch):
+        from faultutils import assert_manifest_closed
+        store = open_store(home, backend_name)
+        records = [store.put("train", index, model_snapshots(float(index)))
+                   for index in range(3)]
+        for index in range(3):
+            store.get("train", index)
+        reads = spy_reads(monkeypatch, store)
+        per_call = sum(len(set(r.recipe_digests())) for r in records)
+        for calls in (1, 2):
+            assert assert_manifest_closed(store) == 3
+            assert len(reads) == calls * per_call
 
 
 # --------------------------------------------------------------------------- #

@@ -174,3 +174,16 @@ class TestChunkedWriteAccounting:
         assert span.attrs["codec"] == "gzip"
         assert span.attrs["raw_chunks"] == 8
         assert span.attrs["bypassed_nbytes"] == 8 * chunk
+
+    def test_get_span_counts_the_chunks_it_reused(self, enabled_telemetry,
+                                                  tmp_path):
+        """A read reuses what the store's previous chunked read verified."""
+        store = CheckpointStore(tmp_path / "run", chunking="fixed",
+                                chunk_nbytes=4096)
+        record = store.put("train", 0, [snapshot_value(
+            "weights", np.arange(8192, dtype=np.float32))])
+        store.get("train", 0)
+        store.get("train", 0)
+        reused = [span.attrs["reused"] for span in enabled_telemetry.spans()
+                  if span.name == "storage.get"]
+        assert reused == [0, len(set(record.recipe_digests()))] and reused[1]

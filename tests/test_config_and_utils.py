@@ -138,6 +138,56 @@ def test_storage_export_census():
         assert hasattr(repro.storage, name), name
 
 
+
+def test_package_export_census():
+    """Every name ``repro`` exports (76), so adding or removing one shows."""
+    import repro
+    assert sorted(repro.__all__) == [
+        "CheckpointNotFoundError", "ConfigError", "Diagnostic",
+        "DiagnosticReport", "DiffResult", "DiffStats", "ExplainReport",
+        "FlorConfig", "FlorError", "GCReport", "InitStrategy",
+        "InstrumentationError", "JobGroup", "Mode", "Phase", "ProbeAnalysis",
+        "ProbeClass", "PruneReport", "QueryError", "QueryResult",
+        "QueryStats", "RecordError", "RecordResult", "ReplayAnomalyError",
+        "ReplayError", "ReplayResult", "ReplaySafetyError",
+        "ReplaySafetyWarning", "RetentionPolicy", "RunCatalog", "RunEntry",
+        "SerializationError", "ServiceBusy", "ServiceClient", "ServiceError",
+        "Session", "Severity", "SideEffectAnalysisError", "SimulationError",
+        "StorageError", "StorageStats", "ValueDrift", "WorkerResult",
+        "WorkloadError", "__version__", "analysis", "analyze_probe", "api",
+        "connect", "diff", "explain", "gc", "get_active_session",
+        "get_config", "lint_path", "lint_run", "lint_source", "log", "loop",
+        "prune", "query", "record", "record_script", "record_session",
+        "record_source", "replay", "replay_script", "replay_session",
+        "reset_config", "run_parallel_replay", "set_config", "skipblock",
+        "storage", "storage_stats", "telemetry", "torchlike",
+    ]
+    assert len(set(repro.__all__)) == len(repro.__all__) == 76
+    for name in repro.__all__:
+        assert hasattr(repro, name), name
+
+
+def test_analysis_export_census():
+    """Every name ``repro.analysis`` exports (40)."""
+    import repro.analysis
+    assert sorted(repro.analysis.__all__) == [
+        "BlockSpec", "CODES", "Changeset", "Diagnostic", "DiagnosticReport",
+        "FLOR_MODULE_ALIAS", "InstrumentationResult", "LoopAnalysis",
+        "ProbeAnalysis", "ProbeClass", "ProbeStatement", "RuleApplication",
+        "SAFE_BUILTINS", "ScriptAnalysis", "Severity", "StatementFacts",
+        "analyze_loop", "analyze_probe", "analyze_script",
+        "apply_rules_to_statement", "augment_changeset", "bound_names",
+        "build_changeset", "clear_augmentation_rules", "code_title",
+        "default_rules", "evaluate_pure_logged", "extract_probe_statements",
+        "find_loops", "instrument_source", "lint_determinism", "lint_path",
+        "lint_run", "lint_source", "loop_scoped_names", "names_bound_before",
+        "record_changeset_names", "register_augmentation_rule",
+        "statement_facts", "suppressed_codes",
+    ]
+    assert len(set(repro.analysis.__all__)) == len(repro.analysis.__all__)
+    for name in repro.analysis.__all__:
+        assert hasattr(repro.analysis, name), name
+
 class TestNaming:
     def test_slugify(self):
         assert slugify("ResNet-152 on Cifar100!") == "resnet-152-on-cifar100"
