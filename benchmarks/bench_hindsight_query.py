@@ -83,14 +83,11 @@ def probe_script(script: str) -> str:
 def record_runs(home: Path, shape: dict,
                 trace: bool = False) -> list[tuple[str, str]]:
     """Record the fleet under genuine adaptive (sparse) checkpointing."""
-    # Tracing flips to the default spool materialization so the captured
-    # document also exercises the spool.* seams; the wall-clock numbers of
-    # a --trace run are not comparable to the baseline.
+    # The wall-clock numbers of a --trace run are not comparable to the
+    # baseline.
     config = FlorConfig(home=home, epsilon=shape["epsilon"],
                         adaptive_checkpointing=True,
-                        telemetry=trace,
-                        background_materialization="spool" if trace
-                        else "sequential")
+                        telemetry=trace)
     repro.set_config(config)
     recorded = []
     try:

@@ -84,7 +84,7 @@ def service_query(address: str, client_id: str, probe: str, **kwargs):
 
 def run_benchmark(home: Path, smoke: bool = False) -> dict:
     shape = SMOKE if smoke else FULL
-    config = FlorConfig(home=home, background_materialization="sequential")
+    config = FlorConfig(home=home)
     repro.set_config(config)
     try:
         _run_id, record_alone = timed_record(config, shape)

@@ -37,8 +37,7 @@ def test_distributed_record_smoke(benchmark, tmp_path):
     from repro.query.catalog import RunCatalog
     from repro.workloads import run_distributed_record
 
-    config = FlorConfig(home=tmp_path / "home",
-                        background_materialization="sequential")
+    config = FlorConfig(home=tmp_path / "home")
 
     def run():
         return run_distributed_record("cifr", world_size=2, epochs=2,

@@ -17,7 +17,7 @@ from repro.config import FlorConfig
 def bench_config(tmp_path_factory):
     """Session-wide Flor configuration rooted in a temporary directory."""
     home = tmp_path_factory.mktemp("flor_bench_home")
-    config = FlorConfig(home=home, background_materialization="thread")
+    config = FlorConfig(home=home)
     repro.set_config(config)
     yield config
     repro.reset_config()

@@ -2,10 +2,9 @@
 
 The paper exposes a single meaningful knob to the user — the record overhead
 tolerance ``epsilon`` (Section 5.3, Eq. 1) — and fixes a handful of internal
-constants (the restore/materialize scaling factor ``c``, the checkpoint
-batching size for fork-based materialization, and so on).  This module keeps
-all of them — plus the storage-backend and async-spool knobs this
-reproduction adds on the road to multi-run scale — in one dataclass so
+constants (the restore/materialize scaling factor ``c`` and so on).  This
+module keeps all of them — plus the storage-backend and async-spool knobs
+this reproduction adds on the road to multi-run scale — in one dataclass so
 sessions, simulators and benchmarks share a single source of truth.
 """
 
@@ -14,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 from .exceptions import ConfigError, StorageError
 from .storage.lifecycle import RetentionPolicy
@@ -26,9 +26,6 @@ DEFAULT_SCALING_FACTOR = 1.0
 
 #: Average scaling factor measured across the paper's workloads (Table 3).
 PAPER_MEASURED_SCALING_FACTOR = 1.38
-
-#: The paper buffers checkpoints and forks in batches of 5000 objects.
-DEFAULT_FORK_BATCH_SIZE = 5000
 
 #: Default directory in which runs store checkpoints, logs and source copies.
 DEFAULT_HOME = Path(os.environ.get("FLOR_HOME", "~/.flor_repro")).expanduser()
@@ -82,14 +79,6 @@ class FlorConfig:
     adaptive_checkpointing:
         When False, every SkipBlock execution is memoized regardless of the
         Joint Invariant — the "adaptivity disabled" ablation in Figure 7.
-    background_materialization:
-        Strategy name for checkpoint materialization: one of ``"spool"``
-        (the default: the bounded async pipeline), ``"fork"``,
-        ``"thread"``, ``"ipc_queue"``, ``"shared_memory"``,
-        ``"sequential"``.
-    fork_batch_size:
-        Number of buffered checkpoint objects that triggers a fork
-        (``"fork"`` strategy only).
     compress_checkpoints:
         Gzip-compress payloads before they hit disk (Table 4 reports
         compressed sizes).
@@ -107,16 +96,13 @@ class FlorConfig:
         run's ``shards.json`` at record time; the persisted value wins on
         reopen.
     spool_workers:
-        Worker-pool size of the async spool (``"spool"`` strategy):
-        how many checkpoints serialize/compress/write concurrently.
+        Worker-pool size of the async spool, the one record-time
+        materializer: how many checkpoints serialize/compress/write
+        concurrently.
     spool_queue_size:
         Bound on checkpoints in flight in the spool.  When the queue is
         full, ``submit`` blocks (backpressure) so record-time memory stays
         bounded regardless of checkpoint traffic.
-    spool_mode:
-        ``"thread"`` (default) runs spool workers as threads;
-        ``"process"`` runs the CPU-bound serialize+gzip stage in a process
-        pool, sidestepping the GIL for large checkpoints.
     manifest_batch_size:
         Manifest rows the spool buffers before one batched transactional
         commit.  Larger batches amortize commit overhead; ``flush()``
@@ -209,15 +195,12 @@ class FlorConfig:
     epsilon: float = DEFAULT_EPSILON
     scaling_factor: float = DEFAULT_SCALING_FACTOR
     adaptive_checkpointing: bool = True
-    background_materialization: str = "spool"
-    fork_batch_size: int = DEFAULT_FORK_BATCH_SIZE
     compress_checkpoints: bool = True
     strict_consistency: bool = False
     storage_backend: str = "local"
     storage_shards: int = DEFAULT_STORAGE_SHARDS
     spool_workers: int = DEFAULT_SPOOL_WORKERS
     spool_queue_size: int = DEFAULT_SPOOL_QUEUE_SIZE
-    spool_mode: str = "thread"
     manifest_batch_size: int = DEFAULT_MANIFEST_BATCH_SIZE
     query_workers: int = DEFAULT_QUERY_WORKERS
     query_memoize: bool = True
@@ -235,10 +218,12 @@ class FlorConfig:
     telemetry: bool = False
     telemetry_buffer: int = DEFAULT_TELEMETRY_BUFFER
 
-    _VALID_MATERIALIZERS = ("fork", "thread", "ipc_queue", "sequential",
-                            "shared_memory", "spool")
+    #: Not a knob: the async spool is the only materializer.  Kept as a
+    #: constant because the perfbench layer pass still passes it to
+    #: ``create_materializer``; drop it with that call.
+    background_materialization: ClassVar[str] = "spool"
+
     _VALID_BACKENDS = ("local", "memory", "sharded")
-    _VALID_SPOOL_MODES = ("thread", "process")
     _VALID_CHUNKING = ("off", "fixed", "cdc")
     _VALID_CODECS = ("raw", "gzip", "zlib", "lzma")
 
@@ -261,14 +246,8 @@ class FlorConfig:
         if self.scaling_factor <= 0:
             raise ConfigError(
                 f"scaling_factor must be positive, got {self.scaling_factor!r}")
-        self._check_choice("background_materialization",
-                           self.background_materialization,
-                           self._VALID_MATERIALIZERS)
         self._check_choice("storage_backend", self.storage_backend,
                            self._VALID_BACKENDS)
-        self._check_choice("spool_mode", self.spool_mode,
-                           self._VALID_SPOOL_MODES)
-        self._check_at_least_one("fork_batch_size", self.fork_batch_size)
         self._check_at_least_one("storage_shards", self.storage_shards)
         self._check_at_least_one("spool_workers", self.spool_workers)
         self._check_at_least_one("spool_queue_size", self.spool_queue_size)
@@ -327,15 +306,6 @@ class FlorConfig:
             raise ConfigError(
                 f"gc_interval must be a positive number of seconds or "
                 f"None, got {self.gc_interval!r}")
-        if self.gc_interval is not None and \
-                self.background_materialization != "spool":
-            # Background lifecycle passes ride on the spool's batched
-            # manifest commits; with any other materializer the interval
-            # would silently never fire.
-            raise ConfigError(
-                "gc_interval requires background_materialization='spool' "
-                f"(got {self.background_materialization!r}); drop "
-                "gc_interval to run lifecycle passes at session close only")
         if self.retention_policy is not None:
             if not isinstance(self.retention_policy, RetentionPolicy):
                 raise ConfigError(

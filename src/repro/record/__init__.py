@@ -3,20 +3,14 @@ materialization, the SkipBlock construct, and the record-script driver."""
 
 from .adaptive import AdaptiveController, BlockStats, CheckpointDecision
 from .logger import LogManager, LogRecord, merge_logs, read_log
-from .materializer import (ForkMaterializer, IPCQueueMaterializer,
-                           MATERIALIZER_NAMES, MaterializationTicket,
-                           Materializer, SequentialMaterializer,
-                           SharedMemoryMaterializer, ThreadMaterializer,
-                           create_materializer)
+from .materializer import create_materializer
 from .recorder import RecordResult, record_script, record_source
 from .skipblock import SkipBlock
 
 __all__ = [
     "LogRecord", "LogManager", "read_log", "merge_logs",
     "AdaptiveController", "BlockStats", "CheckpointDecision",
-    "Materializer", "MaterializationTicket", "SequentialMaterializer",
-    "ThreadMaterializer", "IPCQueueMaterializer", "ForkMaterializer",
-    "SharedMemoryMaterializer", "create_materializer", "MATERIALIZER_NAMES",
+    "create_materializer",
     "SkipBlock",
     "RecordResult", "record_script", "record_source",
 ]

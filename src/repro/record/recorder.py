@@ -126,7 +126,7 @@ def record_source(source: str, name: str | None = None,
         run_dir=session.run_dir,
         wall_seconds=wall_seconds,
         materialization_main_thread_seconds=
-            session.materializer.stats.total_main_thread_seconds,
+            session.materializer.stats.main_thread_seconds,
         checkpoint_count=totals.checkpoints,
         stored_nbytes=totals.stored_nbytes,
         storage_backend=session.store.backend.name,

@@ -218,16 +218,14 @@ class SkipBlock:
             if decision.materialize:
                 get_metrics().inc("record.checkpoints")
                 get_metrics().inc("record.checkpoint_bytes", payload_nbytes)
-                ticket = session.materializer.submit(
+                main_thread_seconds, _ = session.materializer.submit(
                     self.block_id, self.execution_index, snapshots)
-                # An async submit's main-thread time is just the enqueue cost;
+                # The submit's main-thread time is just the enqueue cost;
                 # feeding nbytes/enqueue-time into the throughput model would
-                # inflate it absurdly.  Pass nbytes only for inline completions;
-                # async strategies refine throughput through the background
-                # completion callback instead.
+                # inflate it absurdly, so nbytes is withheld here and the
+                # spool's completion callback refines throughput instead.
                 session.adaptive.observe_materialization(
-                    self.block_id, ticket.main_thread_seconds,
-                    payload_nbytes if ticket.completed_inline else 0)
+                    self.block_id, main_thread_seconds, 0)
             else:
                 get_metrics().inc("record.checkpoints_skipped")
         return tuple(named_values.values())

@@ -137,11 +137,11 @@ def _quiesce_parent_session(start_method: str) -> str:
     """Make the parent's live Flor session safe to fork around.
 
     Flushes in-flight materializations and the store so children observe a
-    consistent manifest.  With an async spool active, ``fork`` would copy a
-    process whose spool worker threads no longer exist (fork duplicates
-    only the calling thread) while their queue and locks do — so select
-    ``spawn`` instead.  Otherwise close the parent's store connection; the
-    backend reopens lazily, and children open their own.
+    consistent manifest.  Every session owns an async spool, and ``fork``
+    would copy a process whose spool worker threads no longer exist (fork
+    duplicates only the calling thread) while their queue and locks do —
+    so select ``spawn`` instead.  Otherwise close the parent's store
+    connection; the backend reopens lazily, and children open their own.
     """
     session = get_active_session()
     if session is None:
@@ -150,8 +150,7 @@ def _quiesce_parent_session(start_method: str) -> str:
     session.store.flush()
     # A forked child must not inherit buffered log lines it could write again.
     session.logs.flush()
-    if (start_method == "fork"
-            and getattr(session.materializer, "spool", None) is not None):
+    if start_method == "fork":
         return "spawn"
     session.store.close()
     return start_method

@@ -19,6 +19,7 @@ from __future__ import annotations
 import getpass
 import platform
 import time
+import warnings
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -28,9 +29,10 @@ from .exceptions import FlorError, RecordError, ReplayError
 from .modes import InitStrategy, Mode, Phase
 from .record.adaptive import AdaptiveController
 from .record.logger import LogManager, read_log
-from .record.materializer import Materializer, create_materializer
+from .record.materializer import create_materializer
 from .record.skipblock import SkipBlock
 from .storage.checkpoint_store import CheckpointStore
+from .storage.spool import AsyncSpool
 from . import telemetry
 
 __all__ = ["Session", "get_active_session", "require_active_session"]
@@ -111,19 +113,16 @@ class Session:
                 self.store, policy=self.config.retention_policy,
                 gc_interval=self.config.gc_interval)
 
-        materializer_kwargs = {}
-        if self.config.background_materialization == "spool":
-            # Feed real background materialization timings back into the
-            # adaptive controller's throughput model (Section 5.3.2).
-            materializer_kwargs["on_complete"] = (
-                self.adaptive.observe_background_materialization)
-            if self.lifecycle is not None and \
-                    self.config.gc_interval is not None:
-                materializer_kwargs["on_batch_commit"] = (
-                    self.lifecycle.on_manifest_commit)
-        self.materializer: Materializer = create_materializer(
-            self.config.background_materialization, self.store,
-            config=self.config, **materializer_kwargs)
+        # Real background materialization timings feed the adaptive
+        # controller's throughput model (Section 5.3.2); batched manifest
+        # commits drive periodic lifecycle passes when gc_interval is set.
+        on_batch_commit = None
+        if self.lifecycle is not None and self.config.gc_interval is not None:
+            on_batch_commit = self.lifecycle.on_manifest_commit
+        self.materializer: AsyncSpool = create_materializer(
+            "spool", self.store, config=self.config,
+            on_complete=self.adaptive.observe_background_materialization,
+            on_batch_commit=on_batch_commit)
 
         self.block_specs: dict[str, BlockSpec] = {}
         # Composite execution-index scheme: 2 offsets composites by
@@ -381,24 +380,23 @@ class Session:
             # the hindsight query planner can resolve logged values without
             # scanning record.log for every cataloged run.
             self.store.set_metadata("logged_values", self.logs.names())
-            materializer_meta = {
-                "strategy": self.materializer.name,
-                "submitted": self.materializer.stats.submitted,
-                "main_thread_seconds":
-                    self.materializer.stats.total_main_thread_seconds,
-            }
-            spool = getattr(self.materializer, "spool", None)
-            if spool is not None:
-                materializer_meta["spool"] = {
-                    "workers": spool.workers,
-                    "mode": spool.mode,
-                    "completed": spool.stats.completed,
-                    "manifest_commits": spool.stats.manifest_commits,
-                    "backpressure_waits": spool.stats.backpressure_waits,
-                    "backpressure_seconds": spool.stats.backpressure_seconds,
-                    "spool_seconds": spool.stats.spool_seconds,
-                }
-            self.store.set_metadata("materializer", materializer_meta)
+            stats = self.materializer.stats
+            self.store.set_metadata("materializer", {
+                "strategy": "spool",
+                "submitted": stats.submitted,
+                "main_thread_seconds": stats.main_thread_seconds,
+                "spool": {
+                    "workers": self.materializer.workers,
+                    "completed": stats.completed,
+                    "manifest_commits": stats.manifest_commits,
+                    "backpressure_waits": stats.backpressure_waits,
+                    "backpressure_seconds": stats.backpressure_seconds,
+                    "spool_seconds": stats.spool_seconds,
+                },
+                "errors": list(stats.errors),
+            })
+            if stats.errors and not self.config.strict_consistency:
+                warnings.warn(self._failed_writes_message(), stacklevel=2)
             self.store.set_metadata("storage_backend",
                                     self.store.backend.name)
             self.store.set_metadata("environment", {
@@ -442,6 +440,15 @@ class Session:
                 telemetry.METADATA_KEY,
                 telemetry.current_document(meta={"run_id": self.run_id}))
         self.store.flush()
+        if (self.mode is Mode.RECORD and self.materializer.stats.errors
+                and self.config.strict_consistency):
+            raise RecordError(self._failed_writes_message())
+
+    def _failed_writes_message(self) -> str:
+        errors = self.materializer.stats.errors
+        return (f"run {self.run_id!r}: {len(errors)} checkpoint write(s) "
+                f"failed in the background and were not recorded; first: "
+                f"{errors[0]} (replay recomputes those executions)")
 
     # ------------------------------------------------------------------ #
     # Activation / context manager protocol

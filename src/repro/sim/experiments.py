@@ -7,15 +7,8 @@ renders rows the way the paper prints them.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
 from ..config import FlorConfig
 from ..modes import InitStrategy
-from ..record.materializer import create_materializer
-from ..storage.checkpoint_store import CheckpointStore
-from ..storage.serializer import ValueSnapshot
 from ..workloads.registry import WORKLOADS, workload_names
 from .cost_model import checkpoint_storage_cost, compare_replay_costs
 from .record_sim import simulate_record
@@ -24,7 +17,7 @@ from .replay_sim import (simulate_inner_probe_replay, simulate_outer_probe_repla
 
 __all__ = [
     "table3_workloads", "table4_storage_costs",
-    "figure5_materialization_microbenchmark", "figure7_adaptive_overhead",
+    "figure7_adaptive_overhead",
     "figure10_parallel_replay_fraction", "figure11_record_overhead",
     "figure12_replay_latency", "figure13_scaleout", "figure14_parallel_cost",
     "format_table",
@@ -89,48 +82,6 @@ def table4_storage_costs() -> list[dict]:
             "Storage Cost / Mo. ($)": cost,
         })
     return sorted(rows, key=lambda row: row["Checkpoint Size (GB)"])
-
-
-# ---------------------------------------------------------------------- #
-# Figure 5: background materialization microbenchmark (live measurement)
-# ---------------------------------------------------------------------- #
-def figure5_materialization_microbenchmark(
-        run_dir, payload_mb: int = 8, arrays: int = 16,
-        strategies: tuple[str, ...] = ("sequential", "ipc_queue",
-                                       "shared_memory", "fork", "thread"),
-        ) -> list[dict]:
-    """Measure main-thread blocking time of each materialization strategy.
-
-    The paper's experiment materializes a 1.1 GB RTE checkpoint; here the
-    payload is scaled down (default 8 MB) so the measurement runs in
-    milliseconds, but the ranking — strategies that serialize on the main
-    thread block it for longer — is preserved.
-    """
-    rng = np.random.default_rng(0)
-    per_array = max(int(payload_mb * 1024 ** 2 / arrays / 4), 1)
-    payload = {f"weight_{index}": rng.standard_normal(per_array).astype(np.float32)
-               for index in range(arrays)}
-    snapshots = [ValueSnapshot(name="model", kind="state_dict", payload=payload)]
-
-    rows = []
-    for strategy in strategies:
-        store = CheckpointStore(run_dir / f"fig5-{strategy}", compress=False)
-        materializer = create_materializer(strategy, store)
-        start = time.perf_counter()
-        ticket = materializer.submit("fig5", 0, snapshots)
-        main_thread_seconds = time.perf_counter() - start
-        materializer.close()
-        total_seconds = time.perf_counter() - start
-        rows.append({
-            "Strategy": strategy,
-            "Main-thread seconds": main_thread_seconds,
-            "Total seconds": total_seconds,
-            "Payload MB": payload_mb,
-            "Blocked fraction": (main_thread_seconds / total_seconds
-                                 if total_seconds > 0 else 1.0),
-            "Ticket nbytes": ticket.payload_nbytes,
-        })
-    return rows
 
 
 # ---------------------------------------------------------------------- #

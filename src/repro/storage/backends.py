@@ -171,7 +171,7 @@ class Manifest:
     On disk it runs in WAL mode so readers never block the writer; a
     thread lock serializes access from the training thread and background
     spool workers, and the connection is transparently reopened in
-    children after ``fork`` (fork materialization and parallel replay both
+    children after ``fork`` (parallel replay and forked recorders can
     fork with a live store).  ``path=None`` keeps the database in memory:
     that connection *is* the data, so it is never reopened (a forked child
     keeps writing into its own copy) and :meth:`close` only commits.

@@ -212,11 +212,7 @@ class CheckpointStore:
                                   serialized.serialize_seconds)
 
     def encode_whole(self, payload: bytes) -> bytes:
-        """The stored form of a whole (non-chunked) payload.
-
-        Public so the process-mode spool can run this CPU-bound stage in
-        its worker pool and hand the result to :meth:`write_encoded`.
-        """
+        """The stored form of a whole (non-chunked) payload."""
         if not self.compress:
             return payload
         with get_tracer().span("storage.encode", nbytes=len(payload)) as span:

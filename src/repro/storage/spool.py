@@ -2,13 +2,14 @@
 
 :class:`AsyncSpool` is the record-phase hot-path offloader.  ``submit``
 enqueues snapshotted checkpoint objects on a **bounded** queue and returns
-immediately; a pool of workers (threads, or processes for the CPU-bound
-serialize + gzip stage) drains it, writes payloads through the store's
-backend, and commits manifest rows in **batches** (one transaction per
-batch).  When the queue is full, ``submit`` blocks — backpressure — so
-memory stays bounded no matter how fast checkpoints arrive.  ``flush()`` is
-the barrier record/replay and tests rely on: after it returns, every
-submitted checkpoint is durable *and* indexed.
+immediately; a pool of worker threads drains it, serializes, encodes and
+writes payloads through the store's backend, and commits manifest rows in
+**batches** (one transaction per batch).  When the queue is full,
+``submit`` blocks — backpressure — so memory stays bounded no matter how
+fast checkpoints arrive.  ``flush()`` is the barrier record/replay and
+tests rely on: after it returns, every submitted checkpoint is durable
+*and* indexed.  It is the only way a checkpoint is materialized during
+record.
 
 Durability ordering: a payload is fully written before its manifest row
 enters the commit buffer, so a crash mid-spool can orphan payload files but
@@ -19,26 +20,19 @@ from __future__ import annotations
 
 import queue
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..exceptions import StorageError
 from ..telemetry import get_metrics, get_tracer
 from ..utils.timing import monotonic
-from . import compression
 from .backends import CheckpointRecord
-from .serializer import (SerializedCheckpoint, ValueSnapshot,
-                         serialize_checkpoint)
+from .serializer import ValueSnapshot, serialize_checkpoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .checkpoint_store import CheckpointStore
 
 __all__ = ["AsyncSpoolStats", "AsyncSpool"]
-
-#: Worker-pool flavours the async spool supports.
-SPOOL_MODES = ("thread", "process")
-
 
 # --------------------------------------------------------------------------- #
 # The async materialization pipeline
@@ -48,6 +42,8 @@ class AsyncSpoolStats:
     """Aggregate accounting across one async spool's lifetime."""
 
     submitted: int = 0
+    #: Seconds the submitting (training) thread spent in ``submit``.
+    main_thread_seconds: float = 0.0
     completed: int = 0
     indexed: int = 0
     raw_nbytes: int = 0
@@ -57,30 +53,6 @@ class AsyncSpoolStats:
     backpressure_seconds: float = 0.0
     spool_seconds: float = 0.0
     errors: list[str] = field(default_factory=list)
-
-
-def _serialize_and_compress(snapshots: list[ValueSnapshot],
-                            compress_enabled: bool, codec: str = "gzip",
-                            level: int | None = None
-                            ) -> tuple[bytes, int, float]:
-    """Process-pool work unit: the CPU-bound half of a whole-payload write."""
-    serialized = serialize_checkpoint(snapshots)
-    payload = serialized.data
-    if compress_enabled:
-        payload = compression.compress(payload, level=level, codec=codec).data
-    return payload, serialized.nbytes, serialized.serialize_seconds
-
-
-def _serialize_only(snapshots: list[ValueSnapshot]) -> tuple[bytes, int, float]:
-    """Process-pool work unit for chunked stores: serialization only.
-
-    Chunk hashing decides which chunks are *new*, and only those get
-    compressed — that decision needs the object store, so it stays with
-    the committer; offloading compression here would compress every
-    chunk, deduped or not.
-    """
-    serialized = serialize_checkpoint(snapshots)
-    return serialized.data, serialized.nbytes, serialized.serialize_seconds
 
 
 class AsyncSpool:
@@ -97,10 +69,6 @@ class AsyncSpool:
         Bound on in-flight checkpoints; ``submit`` blocks when reached.
     batch_size:
         Manifest rows buffered before one batched commit.
-    mode:
-        ``"thread"`` — workers do the whole pipeline; ``"process"`` — the
-        serialize + gzip stage runs in a process pool (sidestepping the
-        GIL) and a committer applies writes and batched commits.
     on_complete:
         Optional ``(block_id, spool_seconds, raw_nbytes)`` callback fired
         as each checkpoint finishes in the background — the adaptive
@@ -116,7 +84,6 @@ class AsyncSpool:
 
     def __init__(self, store: "CheckpointStore", *, workers: int = 2,
                  queue_size: int = 64, batch_size: int = 16,
-                 mode: str = "thread",
                  on_complete: Callable[[str, float, int], None] | None = None,
                  on_batch_commit: Callable[[], None] | None = None):
         if workers < 1:
@@ -127,14 +94,10 @@ class AsyncSpool:
         if batch_size < 1:
             raise StorageError(
                 f"spool batch_size must be >= 1, got {batch_size}")
-        if mode not in SPOOL_MODES:
-            raise StorageError(
-                f"spool mode must be one of {SPOOL_MODES}, got {mode!r}")
         self.store = store
         self.workers = workers
         self.queue_size = queue_size
         self.batch_size = batch_size
-        self.mode = mode
         self.stats = AsyncSpoolStats()
         self._on_complete = on_complete
         self._on_batch_commit = on_batch_commit
@@ -142,20 +105,13 @@ class AsyncSpool:
         self._buffer: list[CheckpointRecord] = []
         self._buffer_lock = threading.Lock()
         self._closed = False
-
-        if mode == "thread":
-            self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_size)
-            self._threads = [
-                threading.Thread(target=self._worker_loop, daemon=True,
-                                 name=f"flor-spool-{i}")
-                for i in range(workers)]
-            for thread in self._threads:
-                thread.start()
-        else:
-            self._executor: ProcessPoolExecutor | None = None
-            self._slots = threading.BoundedSemaphore(queue_size)
-            self._pending = 0
-            self._pending_cond = threading.Condition()
+        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_size)
+        self._threads = [
+            threading.Thread(target=self._worker_loop, daemon=True,
+                             name=f"flor-spool-{i}")
+            for i in range(workers)]
+        for thread in self._threads:
+            thread.start()
 
     # ------------------------------------------------------------------ #
     # Hot path
@@ -173,18 +129,14 @@ class AsyncSpool:
         with get_tracer().span("spool.enqueue", block_id=block_id,
                                execution_index=execution_index,
                                nbytes=estimate):
-            if self.mode == "thread":
-                self._enqueue_bounded((block_id, execution_index, snapshots))
-            else:
-                self._submit_process(block_id, execution_index, snapshots)
+            self._enqueue_bounded((block_id, execution_index, snapshots))
         elapsed = monotonic() - start
         with self._stats_lock:
             self.stats.submitted += 1
+            self.stats.main_thread_seconds += elapsed
         metrics = get_metrics()
         if metrics.enabled:
-            depth = (self._queue.qsize() if self.mode == "thread"
-                     else self._pending)
-            metrics.set_gauge("spool.queue_depth", depth)
+            metrics.set_gauge("spool.queue_depth", self._queue.qsize())
         return elapsed, estimate
 
     def _enqueue_bounded(self, item) -> None:
@@ -200,7 +152,7 @@ class AsyncSpool:
                     monotonic() - blocked)
 
     # ------------------------------------------------------------------ #
-    # Thread mode
+    # Workers: payload first, manifest row batched
     # ------------------------------------------------------------------ #
     def _worker_loop(self) -> None:
         while True:
@@ -217,88 +169,16 @@ class AsyncSpool:
                     with get_tracer().span("spool.materialize",
                                            block_id=block_id,
                                            execution_index=execution_index):
-                        serialized = serialize_checkpoint(snapshots)
-                        self._persist_serialized(block_id, execution_index,
-                                                 serialized, started)
+                        record = self.store.write_payload(
+                            block_id, execution_index,
+                            serialize_checkpoint(snapshots))
+                        self._finish(record, started)
                 except Exception as exc:
                     with self._stats_lock:
                         self.stats.errors.append(
                             f"{block_id}[{execution_index}]: {exc}")
             finally:
                 self._queue.task_done()
-
-    # ------------------------------------------------------------------ #
-    # Process mode
-    # ------------------------------------------------------------------ #
-    def _submit_process(self, block_id, execution_index, snapshots) -> None:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        if not self._slots.acquire(blocking=False):
-            blocked = monotonic()
-            self._slots.acquire()
-            get_metrics().inc("spool.backpressure_waits")
-            with self._stats_lock:
-                self.stats.backpressure_waits += 1
-                self.stats.backpressure_seconds += (
-                    monotonic() - blocked)
-        with self._pending_cond:
-            self._pending += 1
-        started = monotonic()
-        if self.store.chunking_active():
-            # Delta path: serialize in the pool, chunk + encode on the
-            # committer (chunk dedup needs the object store).
-            future = self._executor.submit(_serialize_only, snapshots)
-            encoded = False
-        else:
-            future = self._executor.submit(
-                _serialize_and_compress, snapshots, self.store.compress,
-                self.store.codec, self.store.codec_level)
-            encoded = True
-        future.add_done_callback(
-            lambda fut: self._commit_future(block_id, execution_index, fut,
-                                            started, encoded))
-
-    def _commit_future(self, block_id, execution_index, future, started,
-                       encoded) -> None:
-        try:
-            payload, raw, serialize_seconds = future.result()
-            if encoded:
-                self._persist_encoded(block_id, execution_index, payload,
-                                      raw, serialize_seconds, started)
-            else:
-                self._persist_serialized(
-                    block_id, execution_index,
-                    SerializedCheckpoint(data=payload, nbytes=raw,
-                                         serialize_seconds=serialize_seconds),
-                    started)
-        except Exception as exc:
-            with self._stats_lock:
-                self.stats.errors.append(
-                    f"{block_id}[{execution_index}]: {exc}")
-        finally:
-            self._slots.release()
-            with self._pending_cond:
-                self._pending -= 1
-                self._pending_cond.notify_all()
-
-    # ------------------------------------------------------------------ #
-    # Shared persistence path: payload first, manifest row batched
-    # ------------------------------------------------------------------ #
-    def _persist_serialized(self, block_id: str, execution_index: int,
-                            serialized: SerializedCheckpoint,
-                            started: float) -> None:
-        """Route one serialized payload through the store's write path."""
-        record = self.store.write_payload(block_id, execution_index,
-                                          serialized)
-        self._finish(record, started)
-
-    def _persist_encoded(self, block_id: str, execution_index: int,
-                         payload: bytes, raw_nbytes: int,
-                         serialize_seconds: float, started: float) -> None:
-        """Persist a payload the process pool already encoded."""
-        record = self.store.write_encoded(block_id, execution_index, payload,
-                                          raw_nbytes, serialize_seconds)
-        self._finish(record, started)
 
     def _finish(self, record: CheckpointRecord, started: float) -> None:
         spool_seconds = monotonic() - started
@@ -324,8 +204,8 @@ class AsyncSpool:
                 batch, self._buffer = self._buffer, []
         # Commit outside the buffer lock so other workers keep buffering
         # (and the post-commit lifecycle hook never stalls them).  The
-        # flush() barrier still covers this: the worker's task_done /
-        # pending-decrement happens after _persist returns.
+        # flush() barrier still covers this: the worker's task_done
+        # happens after _finish returns.
         if batch:
             self._commit(batch)
 
@@ -349,11 +229,7 @@ class AsyncSpool:
     def flush(self) -> None:
         """Block until every submitted checkpoint is durable AND indexed."""
         with get_tracer().span("spool.flush"):
-            if self.mode == "thread":
-                self._queue.join()
-            else:
-                with self._pending_cond:
-                    self._pending_cond.wait_for(lambda: self._pending == 0)
+            self._queue.join()
             with self._buffer_lock:
                 batch, self._buffer = self._buffer, []
             if batch:
@@ -365,14 +241,10 @@ class AsyncSpool:
             return
         self.flush()
         self._closed = True
-        if self.mode == "thread":
-            for _ in self._threads:
-                self._queue.put(self._STOP)
-            for thread in self._threads:
-                thread.join(timeout=30.0)
-        elif self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        for _ in self._threads:
+            self._queue.put(self._STOP)
+        for thread in self._threads:
+            thread.join(timeout=30.0)
 
     def __enter__(self) -> "AsyncSpool":
         return self

@@ -122,10 +122,9 @@ def run_streaming_record(workload_name: str = "cifr",
                          ) -> StreamingRecordResult:
     """Record a continual trainer with retention pruning live on the spool.
 
-    Forces the config into the streaming shape: spool materialization (the
-    only strategy with a background hook for lifecycle passes), an active
-    retention ``policy`` (default: keep the last 8 checkpoints per block),
-    and a ``gc_interval`` short enough that prune/GC genuinely overlap the
+    Forces the config into the streaming shape: an active retention
+    ``policy`` (default: keep the last 8 checkpoints per block) and a
+    ``gc_interval`` short enough that prune/GC genuinely overlap the
     recording — the crash-ordering guarantees (manifest-first prune,
     payload-last GC) are exercised *while* the writer is hot, not after it
     quiesced.  Pass ``gc_interval=None`` to prune only at session close.
@@ -136,7 +135,6 @@ def run_streaming_record(workload_name: str = "cifr",
     policy = (policy if policy is not None
               else DEFAULT_STREAMING_POLICY).validate()
     config = config.with_overrides(
-        background_materialization="spool",
         retention_policy=policy,
         gc_interval=gc_interval)
 

@@ -59,18 +59,7 @@ def pytest_runtest_call(item):
 @pytest.fixture()
 def flor_config(tmp_path):
     """Install an isolated Flor configuration rooted in ``tmp_path``."""
-    config = FlorConfig(home=tmp_path / "flor_home",
-                        background_materialization="thread")
-    repro.set_config(config)
-    yield config
-    repro.reset_config()
-
-
-@pytest.fixture()
-def sequential_config(tmp_path):
-    """Configuration with synchronous materialization (deterministic timing)."""
-    config = FlorConfig(home=tmp_path / "flor_home",
-                        background_materialization="sequential")
+    config = FlorConfig(home=tmp_path / "flor_home")
     repro.set_config(config)
     yield config
     repro.reset_config()

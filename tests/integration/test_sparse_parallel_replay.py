@@ -196,8 +196,7 @@ class TestForkSafetyRegression:
     def test_parallel_replay_inside_live_spool_record_session(
             self, flor_config):
         recorded = record_sparse(period=3, name="fork-safety")
-        spool_config = flor_config.with_overrides(
-            background_materialization="spool", spool_workers=2)
+        spool_config = flor_config.with_overrides(spool_workers=2)
         parent = Session("fork-parent", Mode.RECORD, config=spool_config)
         with parent:
             # Keep the spool pipeline genuinely warm while we fork/spawn.
@@ -213,6 +212,14 @@ class TestForkSafetyRegression:
             parent.materializer.flush()
             assert parent.store.contains("warm", 0)
         assert parent.store.executions("warm") == [0, 1, 2, 3]
+
+    def test_live_session_switches_fork_to_spawn(self, flor_config):
+        """The session's spool threads would not survive ``fork``."""
+        from repro.replay.parallel import _quiesce_parent_session
+        assert _quiesce_parent_session("fork") == "fork"  # no session
+        with Session("fork-parent", Mode.RECORD, config=flor_config):
+            assert _quiesce_parent_session("fork") == "spawn"
+            assert _quiesce_parent_session("spawn") == "spawn"
 
 
 class TestLogOrderingRegression:

@@ -60,9 +60,9 @@ def probe_script(n: int) -> str:
 
 
 @pytest.fixture()
-def dense_config(sequential_config):
+def dense_config(flor_config):
     """Dense checkpoints: every iteration aligned, every digest comparable."""
-    return sequential_config.with_overrides(adaptive_checkpointing=False)
+    return flor_config.with_overrides(adaptive_checkpointing=False)
 
 
 def record_pair(config, n: int, perturb_at: int | None):

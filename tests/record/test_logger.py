@@ -155,11 +155,11 @@ class TestSessionLogLifetime:
     """The session owns the handle: flushed per iteration, closed with it."""
 
     @pytest.mark.parametrize("mode", [Mode.RECORD, Mode.REPLAY])
-    def test_no_log_handle_outlives_its_session(self, sequential_config,
+    def test_no_log_handle_outlives_its_session(self, flor_config,
                                                 mode):
-        with Session("run", Mode.RECORD, config=sequential_config):
+        with Session("run", Mode.RECORD, config=flor_config):
             pass                             # replay needs a recorded run
-        session = Session("run", mode, config=sequential_config)
+        session = Session("run", mode, config=flor_config)
         with session:
             session.log("outside_the_loop", 1)
             handle = session.logs._handle
@@ -168,8 +168,8 @@ class TestSessionLogLifetime:
         assert [r.name for r in read_log(session.logs.path)] == [
             "outside_the_loop"]
 
-    def test_each_finished_iteration_is_on_disk(self, sequential_config):
-        with Session("run", Mode.RECORD, config=sequential_config) as session:
+    def test_each_finished_iteration_is_on_disk(self, flor_config):
+        with Session("run", Mode.RECORD, config=flor_config) as session:
             for epoch in session.loop(range(3)):
                 session.log("loss", float(epoch))
                 on_disk = read_log(session.logs.path)
@@ -184,8 +184,7 @@ class TestSessionLogLifetime:
             from repro.config import FlorConfig
             from repro.modes import Mode
             from repro.session import Session
-            config = FlorConfig(home={str(tmp_path / "home")!r},
-                                background_materialization="sequential")
+            config = FlorConfig(home={str(tmp_path / "home")!r})
             session = Session("abandoned", Mode.RECORD, config=config)
             for epoch in session.loop(range(5)):
                 session.log("loss", epoch)
@@ -202,13 +201,13 @@ class TestSessionLogLifetime:
         assert all(r.iteration == 3 for r in records[len(finished):])
 
     def test_worker_replay_logs_are_complete_when_the_parent_rereads_them(
-            self, sequential_config):
+            self, flor_config):
         recorded = record_source(LOGGING_SCRIPT, name="workers",
-                                 config=sequential_config)
+                                 config=flor_config)
         replayed = replay_script(recorded.run_id, num_workers=2,
-                                 config=sequential_config)
+                                 config=flor_config)
         assert replayed.succeeded
-        run_dir = sequential_config.run_dir(recorded.run_id)
+        run_dir = flor_config.run_dir(recorded.run_id)
         reread = merge_logs(read_log(run_dir / f"replay-p{pid}of2.log")
                             for pid in range(2))
         expected = read_log(run_dir / "record.log")

@@ -57,14 +57,6 @@ class TestExperimentHarness:
         assert all(row["Outer-probe speedup"] >= 1.0 for row in rows)
         assert max(row["Outer-probe speedup"] for row in rows) > 100
 
-    def test_figure5_microbenchmark_runs_live(self, tmp_path):
-        rows = ex.figure5_materialization_microbenchmark(
-            tmp_path, payload_mb=1, strategies=("sequential", "thread"))
-        assert [row["Strategy"] for row in rows] == ["sequential", "thread"]
-        assert all(row["Main-thread seconds"] >= 0 for row in rows)
-        assert all(row["Total seconds"] >= row["Main-thread seconds"] - 1e-9
-                   for row in rows)
-
     def test_format_table_renders_all_columns(self):
         rows = [{"a": 1, "b": 0.5}, {"a": 200, "b": 0.25}]
         text = ex.format_table(rows)

@@ -162,26 +162,8 @@ class TestCrashMidSpool:
         spool.close()
 
 
-class TestProcessMode:
-    def test_roundtrip_and_flush(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run")
-        with AsyncSpool(store, workers=2, mode="process",
-                        batch_size=2) as spool:
-            for index in range(4):
-                spool.submit("train", index, make_snapshots(float(index)))
-            spool.flush()
-            assert store.executions("train") == [0, 1, 2, 3]
-            np.testing.assert_allclose(store.get("train", 3)[0].payload,
-                                       np.full(256, 3.0))
-
-    def test_invalid_mode_rejected(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run")
-        with pytest.raises(StorageError, match="spool mode"):
-            AsyncSpool(store, mode="carrier-pigeon")
-
-
 class TestSpoolThroughSession:
-    """End-to-end: spool strategy + each backend through record/replay."""
+    """End-to-end: the spool + each backend through record/replay."""
 
     SCRIPT = """
 import numpy as np
@@ -201,7 +183,6 @@ for epoch in range(3):
         from repro.storage.backends import discard_memory_dir
 
         config = FlorConfig(home=tmp_path / "home",
-                            background_materialization="spool",
                             storage_backend=backend_name, storage_shards=2,
                             adaptive_checkpointing=False)
         repro.set_config(config)
@@ -221,7 +202,6 @@ for epoch in range(3):
         from repro.record.recorder import record_source
 
         config = FlorConfig(home=tmp_path / "home",
-                            background_materialization="spool",
                             spool_workers=3, adaptive_checkpointing=False)
         repro.set_config(config)
         try:

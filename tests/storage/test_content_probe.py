@@ -14,7 +14,7 @@ instead of running the configured codec on them.  Covered here:
   of frame, reads back bit-exact and costs about what gzip-everything did;
 * compatibility — homes written before the probe existed read through it,
   homes written with it read under every codec / chunking setting, and the
-  thread- and process-mode spools write identical blobs.
+  spool writes the same blobs as an inline ``put``.
 """
 
 from __future__ import annotations
@@ -285,21 +285,25 @@ class TestCompatibility:
             reader.close()
 
     @pytest.mark.parametrize("chunking", ["off", "fixed"])
-    def test_thread_and_process_spools_write_identical_blobs(self, tmp_path,
-                                                             chunking):
+    def test_spool_and_inline_put_write_identical_blobs(self, tmp_path,
+                                                        chunking):
         checkpoints = [mixed_snapshots(), [snapshot_value(
             "backbone", np.frombuffer(content("float32", 1 << 18),
                                       dtype=np.float32))]]
         written = {}
-        for mode in ("thread", "process"):
-            store = CheckpointStore(tmp_path / mode / "run",
+        for path in ("spool", "inline"):
+            store = CheckpointStore(tmp_path / path / "run",
                                     chunking=chunking)
-            with AsyncSpool(store, workers=1, mode=mode) as spool:
+            if path == "spool":
+                with AsyncSpool(store, workers=1) as spool:
+                    for index, snapshots in enumerate(checkpoints):
+                        spool.submit("train", index, snapshots)
+                assert not spool.stats.errors
+            else:
                 for index, snapshots in enumerate(checkpoints):
-                    spool.submit("train", index, snapshots)
-            assert not spool.stats.errors
-            written[mode] = blobs(store)
+                    store.put("train", index, snapshots)
+            written[path] = blobs(store)
             store.close()
-        assert written["thread"] == written["process"]
-        assert {codec_of(blob) for blob in written["process"].values()} == {
+        assert written["spool"] == written["inline"]
+        assert {codec_of(blob) for blob in written["spool"].values()} == {
             "raw", "gzip"}

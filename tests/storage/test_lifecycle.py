@@ -346,15 +346,6 @@ class TestPruneAndGC:
 # API-level guards
 # --------------------------------------------------------------------------- #
 class TestApiGuards:
-    def test_gc_interval_requires_spool_materializer(self, tmp_path):
-        from repro.config import FlorConfig
-        from repro.exceptions import ConfigError
-        with pytest.raises(ConfigError, match="gc_interval requires"):
-            FlorConfig(home=tmp_path, gc_interval=5.0,
-                       background_materialization="thread")
-        FlorConfig(home=tmp_path, gc_interval=5.0,
-                   background_materialization="spool")  # fine
-
     def test_prune_unknown_run_raises_without_creating_junk(self, tmp_path):
         import repro
         from repro.config import FlorConfig

@@ -29,27 +29,17 @@ class TestConfig:
             FlorConfig(epsilon=1.5)
         with pytest.raises(ConfigError):
             FlorConfig(scaling_factor=-1)
-        with pytest.raises(ConfigError):
-            FlorConfig(fork_batch_size=0)
-        with pytest.raises(ConfigError):
-            FlorConfig(background_materialization="plasma9000")
 
     def test_validate_names_the_knob_and_its_choices(self):
         with pytest.raises(ConfigError, match=r"chunking must be one of"):
             FlorConfig(chunking="fixd")
-        with pytest.raises(ConfigError,
-                           match=r"background_materialization must be one of"):
-            FlorConfig(background_materialization="plasma9000")
-        with pytest.raises(ConfigError, match=r"spool_mode must be one of"):
-            FlorConfig(spool_mode="fiber")
         with pytest.raises(ConfigError,
                            match=r"storage_backend must be one of"):
             FlorConfig(storage_backend="s3")
 
     def test_validate_rejects_non_positive_counts(self):
         for knob in ("storage_shards", "spool_workers", "spool_queue_size",
-                     "manifest_batch_size", "query_workers",
-                     "fork_batch_size"):
+                     "manifest_batch_size", "query_workers"):
             with pytest.raises(ConfigError, match=rf"{knob} must be"):
                 FlorConfig(**{knob: 0})
 
@@ -102,15 +92,33 @@ class TestConfig:
 def test_knob_census():
     """Every ``FlorConfig`` knob by name, so adding or removing one shows."""
     assert sorted(field.name for field in dataclasses.fields(FlorConfig)) == [
-        "adaptive_checkpointing", "background_materialization",
+        "adaptive_checkpointing",
         "chunk_nbytes", "chunking", "codec", "codec_level",
-        "compress_checkpoints", "dedup", "epsilon", "fork_batch_size",
+        "compress_checkpoints", "dedup", "epsilon",
         "gc_interval", "home", "manifest_batch_size", "query_memoize",
         "query_workers", "retention_policy", "scaling_factor",
         "service_drain_seconds", "service_queue_size", "service_workers",
-        "spool_mode", "spool_queue_size", "spool_workers", "storage_backend",
+        "spool_queue_size", "spool_workers", "storage_backend",
         "storage_shards", "strict_analysis", "strict_consistency",
         "telemetry", "telemetry_buffer",
+    ]
+
+
+def test_background_materialization_is_not_a_knob():
+    """The spool is the only materializer: the name is a constant."""
+    with pytest.raises(TypeError, match="background_materialization"):
+        FlorConfig(background_materialization="fork")
+    assert FlorConfig().background_materialization == "spool"
+
+
+def test_record_export_census():
+    """Every name ``repro.record`` exports, so adding or removing one shows."""
+    import repro.record
+    assert sorted(repro.record.__all__) == [
+        "AdaptiveController", "BlockStats", "CheckpointDecision",
+        "LogManager", "LogRecord", "RecordResult", "SkipBlock",
+        "create_materializer", "merge_logs", "read_log", "record_script",
+        "record_source",
     ]
 
 

@@ -46,72 +46,72 @@ class TestScriptBuilder:
         with pytest.raises(WorkloadError):
             build_distributed_training_script("cifr", 0, 0)
 
-    def test_world_size_validated_by_driver(self, sequential_config):
+    def test_world_size_validated_by_driver(self, flor_config):
         with pytest.raises(WorkloadError):
             run_distributed_record("cifr", world_size=0,
-                                   config=sequential_config)
+                                   config=flor_config)
 
 
 class TestWorkerIdentity:
-    def test_worker_records_under_job_at_rank(self, sequential_config):
+    def test_worker_records_under_job_at_rank(self, flor_config):
         result = record_worker("jobx", 1, 2, epochs=2,
-                               config=sequential_config)
+                               config=flor_config)
         assert result.succeeded
         assert result.run_id == worker_run_id("jobx", 1) == "jobx@1"
         assert result.logged_iterations == 2
         assert result.checkpoint_count > 0
 
-    def test_worker_failure_is_reported_not_raised(self, sequential_config):
+    def test_worker_failure_is_reported_not_raised(self, flor_config):
         result = record_worker("jobx", 0, 1, workload_name="nope",
-                               config=sequential_config)
+                               config=flor_config)
         assert not result.succeeded
         assert "WorkloadError" in result.error
 
 
 class TestJobGrouping:
     def test_sequential_job_groups_into_one_logical_job(self,
-                                                        sequential_config):
+                                                        flor_config):
         result = run_distributed_record("cifr", world_size=1, epochs=2,
-                                        config=sequential_config)
+                                        config=flor_config)
         assert result.succeeded
-        catalog = RunCatalog.open(sequential_config)
+        catalog = RunCatalog.open(flor_config)
         group = catalog.job(result.job_id)
         assert group.run_ids == tuple(result.run_ids)
         assert group.ranks == (0,)
         assert group.complete
 
-    def test_missing_rank_detected(self, sequential_config):
+    def test_missing_rank_detected(self, flor_config):
         # Ranks 0, 1 and 3 report in; rank 2's record never started — the
         # merged view must name the hole instead of silently shrinking the
         # job to the survivors.
         for rank in (0, 1, 3):
             assert record_worker("holey", rank, 4, epochs=2,
-                                 config=sequential_config).succeeded
-        group = RunCatalog.open(sequential_config).job("holey")
+                                 config=flor_config).succeeded
+        group = RunCatalog.open(flor_config).job("holey")
         assert group.world_size == 4
         assert group.missing_ranks == (2,)
         assert not group.complete
         assert group.worker(1).run_id == "holey@1"
         assert group.worker(2) is None
 
-    def test_job_level_logged_values_and_checkpoints(self, sequential_config):
+    def test_job_level_logged_values_and_checkpoints(self, flor_config):
         result = run_distributed_record("cifr", world_size=2, epochs=2,
-                                        config=sequential_config)
-        group = RunCatalog.open(sequential_config).job(result.job_id)
+                                        config=flor_config)
+        group = RunCatalog.open(flor_config).job(result.job_id)
         assert set(group.logged_values) >= {"shard_loss", "shard_examples"}
         assert group.checkpoint_count == sum(
             worker.checkpoint_count for worker in result.workers)
         assert group.workload == "cifr"
 
-    def test_shard_drift_visible_through_diff(self, sequential_config):
+    def test_shard_drift_visible_through_diff(self, flor_config):
         """Two workers of one job trained different shards: the logged-scan
         diff pinpoints the drift at the first shared epoch, free."""
         result = run_distributed_record("cifr", world_size=2, epochs=3,
-                                        config=sequential_config)
+                                        config=flor_config)
         assert result.succeeded
         run_a, run_b = result.run_ids
         report = repro.diff(run_a, run_b, ["shard_loss", "shard_examples"],
-                            config=sequential_config)
+                            config=flor_config)
         drift = report.drift("shard_loss")
         assert drift.status == "diverged"
         assert drift.first_divergence == 0
@@ -159,8 +159,7 @@ def _assert_shared_home_consistent(config, run_ids, expected_iterations=None,
 def test_concurrent_worker_processes_share_one_home(tmp_path, backend):
     """K=4 real recorder processes, one home: nothing lost, nothing orphaned."""
     config = repro.FlorConfig(home=tmp_path / "home",
-                              storage_backend=backend,
-                              background_materialization="sequential")
+                              storage_backend=backend)
     result = run_distributed_record("cifr", world_size=4, epochs=2,
                                     config=config)
     assert result.succeeded, [w.error for w in result.workers]
@@ -175,8 +174,7 @@ def test_memory_backend_records_job_sequentially(tmp_path):
     """The process-local memory backend still produces a consistent job —
     recorded in-process, since its store cannot span real processes."""
     config = repro.FlorConfig(home=tmp_path / "home",
-                              storage_backend="memory",
-                              background_materialization="sequential")
+                              storage_backend="memory")
     result = run_distributed_record("cifr", world_size=3, epochs=2,
                                     config=config)
     assert result.succeeded, [w.error for w in result.workers]
@@ -191,8 +189,7 @@ def test_worker_killed_mid_record_leaves_home_consistent(tmp_path, backend):
     the victim's partial manifest stays closed, and one GC sweep restores
     the exact referenced set with exact refcounts."""
     config = repro.FlorConfig(home=tmp_path / "home",
-                              storage_backend=backend,
-                              background_materialization="sequential")
+                              storage_backend=backend)
     job_id, victim_rank = "killjob", 3
     victim = start_recorder_process(job_id, victim_rank, 4, config=config,
                                     epochs=400)
