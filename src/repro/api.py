@@ -165,10 +165,7 @@ def prune(run_id: str, policy: RetentionPolicy | None = None,
     run_dir = config.run_dir(run_id)
     # Opening a CheckpointStore creates the directory; guard against a
     # typo'd run id silently materializing an empty junk run.
-    from .storage.backends import registered_memory_backends
-    registered = {backend.root_dir for backend
-                  in registered_memory_backends(config.home)}
-    if not run_dir.is_dir() and run_dir not in registered:
+    if not run_dir.is_dir():
         from .exceptions import StorageError
         raise StorageError(
             f"no recorded run {run_id!r} under {config.home}")

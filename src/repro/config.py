@@ -3,8 +3,8 @@
 The paper exposes a single meaningful knob to the user — the record overhead
 tolerance ``epsilon`` (Section 5.3, Eq. 1) — and fixes a handful of internal
 constants (the restore/materialize scaling factor ``c`` and so on).  This
-module keeps all of them — plus the storage-backend and async-spool knobs
-this reproduction adds on the road to multi-run scale — in one dataclass so
+module keeps all of them — plus the storage and async-spool knobs this
+reproduction adds on the road to multi-run scale — in one dataclass so
 sessions, simulators and benchmarks share a single source of truth.
 """
 
@@ -29,9 +29,6 @@ PAPER_MEASURED_SCALING_FACTOR = 1.38
 
 #: Default directory in which runs store checkpoints, logs and source copies.
 DEFAULT_HOME = Path(os.environ.get("FLOR_HOME", "~/.flor_repro")).expanduser()
-
-#: Default shard count for the sharded storage backend.
-DEFAULT_STORAGE_SHARDS = 4
 
 #: Default worker-pool size of the async materialization spool.
 DEFAULT_SPOOL_WORKERS = 2
@@ -79,22 +76,8 @@ class FlorConfig:
     adaptive_checkpointing:
         When False, every SkipBlock execution is memoized regardless of the
         Joint Invariant — the "adaptivity disabled" ablation in Figure 7.
-    compress_checkpoints:
-        Gzip-compress payloads before they hit disk (Table 4 reports
-        compressed sizes).
     strict_consistency:
         When True, deferred correctness checks raise instead of warning.
-    storage_backend:
-        Checkpoint storage backend: ``"local"`` (single SQLite manifest +
-        payload tree, the default), ``"memory"`` (process-local, for tests
-        and benchmarks) or ``"sharded"`` (checkpoints partitioned by
-        ``hash(block_id) % storage_shards``, one manifest per shard).
-        Reopening an existing run auto-detects its backend, so replay
-        never needs this to match the record-time value.
-    storage_shards:
-        Shard count for the ``"sharded"`` backend.  Persisted in the
-        run's ``shards.json`` at record time; the persisted value wins on
-        reopen.
     spool_workers:
         Worker-pool size of the async spool, the one record-time
         materializer: how many checkpoints serialize/compress/write
@@ -136,10 +119,10 @@ class FlorConfig:
         Target chunk size for delta checkpoints.  ``"cdc"`` chunks range
         over ``[chunk_nbytes / 4, chunk_nbytes * 4]``.
     codec:
-        Compression codec for checkpoint payloads (when
-        ``compress_checkpoints`` is on): ``"gzip"`` (the default, the
-        paper's codec), ``"zlib"``, ``"lzma"`` or ``"raw"`` (framing
-        only, never compress).  Every codec skips chunks / payloads a
+        Compression codec for checkpoint payloads: ``"gzip"`` (the
+        default, the paper's codec; Table 4 reports compressed sizes),
+        ``"zlib"``, ``"lzma"`` or ``"raw"`` (framing only, never
+        compress).  Every codec skips chunks / payloads a
         cheap content sample finds incompressible (float tensor bytes)
         and stores those raw-framed; compressible state still compresses.
     codec_level:
@@ -195,10 +178,7 @@ class FlorConfig:
     epsilon: float = DEFAULT_EPSILON
     scaling_factor: float = DEFAULT_SCALING_FACTOR
     adaptive_checkpointing: bool = True
-    compress_checkpoints: bool = True
     strict_consistency: bool = False
-    storage_backend: str = "local"
-    storage_shards: int = DEFAULT_STORAGE_SHARDS
     spool_workers: int = DEFAULT_SPOOL_WORKERS
     spool_queue_size: int = DEFAULT_SPOOL_QUEUE_SIZE
     manifest_batch_size: int = DEFAULT_MANIFEST_BATCH_SIZE
@@ -223,7 +203,6 @@ class FlorConfig:
     #: ``create_materializer``; drop it with that call.
     background_materialization: ClassVar[str] = "spool"
 
-    _VALID_BACKENDS = ("local", "memory", "sharded")
     _VALID_CHUNKING = ("off", "fixed", "cdc")
     _VALID_CODECS = ("raw", "gzip", "zlib", "lzma")
 
@@ -246,9 +225,6 @@ class FlorConfig:
         if self.scaling_factor <= 0:
             raise ConfigError(
                 f"scaling_factor must be positive, got {self.scaling_factor!r}")
-        self._check_choice("storage_backend", self.storage_backend,
-                           self._VALID_BACKENDS)
-        self._check_at_least_one("storage_shards", self.storage_shards)
         self._check_at_least_one("spool_workers", self.spool_workers)
         self._check_at_least_one("spool_queue_size", self.spool_queue_size)
         self._check_at_least_one("manifest_batch_size",

@@ -137,20 +137,22 @@ def _quiesce_parent_session(start_method: str) -> str:
     """Make the parent's live Flor session safe to fork around.
 
     Flushes in-flight materializations and the store so children observe a
-    consistent manifest.  Every session owns an async spool, and ``fork``
-    would copy a process whose spool worker threads no longer exist (fork
-    duplicates only the calling thread) while their queue and locks do —
-    so select ``spawn`` instead.  Otherwise close the parent's store
-    connection; the backend reopens lazily, and children open their own.
+    consistent manifest.  A record session owns an async spool, and
+    ``fork`` would copy a process whose spool worker threads no longer
+    exist (fork duplicates only the calling thread) while their queue and
+    locks do — so select ``spawn`` instead.  Otherwise close the parent's
+    store connection; the backend reopens lazily, and children open their
+    own.
     """
     session = get_active_session()
     if session is None:
         return start_method
-    session.materializer.flush()
+    if session.materializer is not None:
+        session.materializer.flush()
     session.store.flush()
     # A forked child must not inherit buffered log lines it could write again.
     session.logs.flush()
-    if start_method == "fork":
+    if start_method == "fork" and session.materializer is not None:
         return "spawn"
     session.store.close()
     return start_method

@@ -1,9 +1,9 @@
 """The Flor session: shared state of one record or replay execution.
 
 A :class:`Session` owns the run directory, the checkpoint store, the log
-manager, the adaptive-checkpointing controller and the background
-materializer, and exposes the three primitives user code (or instrumented
-code) interacts with:
+manager, the adaptive-checkpointing controller and (in record mode) the
+background materializer, and exposes the three primitives user code (or
+instrumented code) interacts with:
 
 * ``session.loop(iterable)`` — the Flor generator wrapping the main loop,
 * ``session.skipblock(block_id)`` — a SkipBlock activation,
@@ -113,16 +113,21 @@ class Session:
                 self.store, policy=self.config.retention_policy,
                 gc_interval=self.config.gc_interval)
 
-        # Real background materialization timings feed the adaptive
-        # controller's throughput model (Section 5.3.2); batched manifest
-        # commits drive periodic lifecycle passes when gc_interval is set.
-        on_batch_commit = None
-        if self.lifecycle is not None and self.config.gc_interval is not None:
-            on_batch_commit = self.lifecycle.on_manifest_commit
-        self.materializer: AsyncSpool = create_materializer(
-            "spool", self.store, config=self.config,
-            on_complete=self.adaptive.observe_background_materialization,
-            on_batch_commit=on_batch_commit)
+        # Only record writes checkpoints, so only a record session owns a
+        # spool (and its worker threads).  Real background materialization
+        # timings feed the adaptive controller's throughput model (Section
+        # 5.3.2); batched manifest commits drive periodic lifecycle passes
+        # when gc_interval is set.
+        self.materializer: AsyncSpool | None = None
+        if self.mode is Mode.RECORD:
+            on_batch_commit = None
+            if (self.lifecycle is not None
+                    and self.config.gc_interval is not None):
+                on_batch_commit = self.lifecycle.on_manifest_commit
+            self.materializer = create_materializer(
+                "spool", self.store, config=self.config,
+                on_complete=self.adaptive.observe_background_materialization,
+                on_batch_commit=on_batch_commit)
 
         self.block_specs: dict[str, BlockSpec] = {}
         # Composite execution-index scheme: 2 offsets composites by
@@ -350,7 +355,8 @@ class Session:
             return
         self._closed = True
         self.logs.close()
-        self.materializer.close()
+        if self.materializer is not None:
+            self.materializer.close()
         if self.mode is Mode.RECORD:
             self.store.set_metadata("run_id", self.run_id)
             self.store.set_metadata("mode", self.mode.value)

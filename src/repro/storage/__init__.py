@@ -9,11 +9,10 @@ owns everything that happens to them afterwards:
   adaptive controller.
 * :mod:`~repro.storage.compression` — gzip codec for payloads (Table 4
   reports compressed sizes).
-* :mod:`~repro.storage.backends` — one SQLite ``Manifest`` class under
-  three layouts: ``local`` (one manifest file), ``memory`` (one manifest
-  on SQLite ``:memory:``, for tests/benchmarks) and ``sharded``
-  (checkpoints partitioned by ``sha256(block_id) % num_shards``, one
-  manifest per shard), behind one concrete ``StorageBackend``.
+* :mod:`~repro.storage.backends` — ``StorageBackend``: a run's SQLite
+  ``Manifest`` (``manifest.sqlite``) over the home's object store.  The
+  layout of an existing run is read from disk, so sharded runs written
+  by older versions (one manifest per ``shards/shard-<k>/``) still open.
 * :mod:`~repro.storage.checkpoint_store` — the facade every other module
   talks to: compression, digests, run metadata, source snapshots, and
   backend routing behind a stable API.
@@ -35,7 +34,7 @@ references them — so the manifest never references a missing payload, in
 either direction of the lifecycle.
 """
 
-from .backends import BACKEND_NAMES, StorageBackend, resolve_backend
+from .backends import StorageBackend
 from .checkpoint_store import CheckpointRecord, CheckpointStore
 from .compression import CompressionResult, compress, compression_ratio, decompress
 from .costs import (GiB, INSTANCE_PRICES, InstanceType, S3_PRICE_PER_GB_MONTH,
@@ -44,8 +43,7 @@ from .lifecycle import (GCReport, LifecycleManager, PruneReport,
                         RetentionPolicy, StorageStats, collect_garbage,
                         measure_storage, plan_retention, prune_store,
                         retire_run)
-from .objectstore import (FileObjectStore, MemoryObjectStore,
-                          ObjectStoreStats, PayloadObjectStore)
+from .objectstore import FileObjectStore, ObjectStoreStats
 from .serializer import (SerializedCheckpoint, ValueSnapshot,
                          deserialize_checkpoint, restore_value,
                          serialize_checkpoint, snapshot_value)
@@ -53,9 +51,7 @@ from .spool import AsyncSpool, AsyncSpoolStats
 
 __all__ = [
     "CheckpointStore", "CheckpointRecord",
-    "StorageBackend", "resolve_backend", "BACKEND_NAMES",
-    "PayloadObjectStore", "FileObjectStore", "MemoryObjectStore",
-    "ObjectStoreStats",
+    "StorageBackend", "FileObjectStore", "ObjectStoreStats",
     "RetentionPolicy", "PruneReport", "GCReport", "StorageStats",
     "LifecycleManager", "plan_retention", "prune_store", "retire_run",
     "collect_garbage", "measure_storage",

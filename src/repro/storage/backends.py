@@ -1,27 +1,28 @@
-"""Checkpoint storage backends: one manifest class under three layouts.
+"""Checkpoint storage backend: the manifest and payload planes of one run.
 
 A backend owns the two planes of the checkpoint store: the **manifest
 plane** — the index of checkpoints by ``(block_id, execution_index)``
 with sizes, timings and digests, plus a small run-metadata table, kept in
-:class:`Manifest` (one SQLite database per partition) — and the **payload
-plane** of opaque blobs addressed by *location* strings.
+:class:`Manifest` (one SQLite database) — and the **payload plane** of
+opaque blobs addressed by *location* strings.
 :class:`~repro.storage.checkpoint_store.CheckpointStore` routes every read
 and write through :class:`StorageBackend`, so the rest of the system never
-touches SQLite or the filesystem directly.  The layouts differ only in
-where their manifests live and how many there are:
+touches SQLite or the filesystem directly.
+
+Every new run is written in one layout: ``manifest.sqlite`` in the run
+directory, payloads in the home's object store.  The layout of an
+existing run is read from disk, never named by the caller:
 
 ``local``
-    One ``manifest.sqlite`` plus a ``checkpoints/`` tree for legacy
-    per-execution payloads.
-``memory``
-    One manifest on a SQLite ``:memory:`` database, payloads in process
-    memory — for tests and benchmarks.  Backends are registered per run
-    directory, so reopening a store in-process attaches to the same data.
-``sharded``
-    ``num_shards`` local-style subtrees ``shards/shard-<k>/``, checkpoints
-    routed by ``sha256(block_id)[:8] % num_shards`` so concurrent writers
-    contend on different SQLite files; run metadata lives in shard 0.  The
-    count is persisted in ``shards.json`` and wins on reopen.
+    One ``manifest.sqlite``; ``dedup=False`` runs and pre-dedup homes
+    also keep legacy per-execution payloads under ``checkpoints/``.
+``sharded`` (legacy)
+    Runs written by older versions: a ``shards.json`` root manifest
+    plus ``num_shards`` local-style subtrees ``shards/shard-<k>/``, rows
+    routed by ``sha256(block_id)[:8] % num_shards``, run metadata in
+    shard 0.  Such runs keep working — reads, new rows, memo write-back,
+    prune and GC — through the same routing; no new run is created this
+    way.
 
 The durability contract every layout honours: a payload is written
 *before* its manifest row is committed, so the manifest never references a
@@ -45,23 +46,13 @@ from typing import Callable, NamedTuple, Sequence
 from ..exceptions import StorageError
 from ..utils.hashing import digest_bytes, stable_hash
 from ..utils.timing import monotonic
-from .objectstore import (FileObjectStore, MemoryObjectStore,
-                          PayloadObjectStore, default_objects_dir)
+from .objectstore import FileObjectStore, default_objects_dir
 
-__all__ = [
-    "BACKEND_NAMES", "DEFAULT_NUM_SHARDS", "CheckpointRecord",
-    "Manifest", "ManifestTotals", "StorageBackend", "resolve_backend",
-    "registered_memory_backends", "discard_memory_dir",
-]
+__all__ = ["CheckpointRecord", "Manifest", "ManifestTotals",
+           "StorageBackend"]
 
-#: Backend names accepted by the configuration layer.
-BACKEND_NAMES = ("local", "memory", "sharded")
-
-#: Shard count used when a sharded backend is requested without one.
-DEFAULT_NUM_SHARDS = 4
-
-#: Filename of the sharded backend's root manifest (also the sniffing key
-#: that lets a reopening store detect a sharded layout).
+#: Filename of a legacy sharded run's root manifest (also the sniffing key
+#: that lets a reopening store detect the sharded layout).
 SHARD_MANIFEST_NAME = "shards.json"
 
 #: How long a manifest connection waits out another connection's lock.
@@ -172,13 +163,12 @@ class Manifest:
     thread lock serializes access from the training thread and background
     spool workers, and the connection is transparently reopened in
     children after ``fork`` (parallel replay and forked recorders can
-    fork with a live store).  ``path=None`` keeps the database in memory:
-    that connection *is* the data, so it is never reopened (a forked child
-    keeps writing into its own copy) and :meth:`close` only commits.
+    fork with a live store).
     """
 
-    def __init__(self, path: Path | None):
+    def __init__(self, path: Path):
         self.path = path
+        path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
         self._conn: sqlite3.Connection | None = None
         self._conn_pid: int | None = None
@@ -193,21 +183,26 @@ class Manifest:
         """Bring an older manifest up to the current schema in place."""
         columns = {row[1] for row in
                    conn.execute("PRAGMA table_info(checkpoints)")}
-        if "payload_digest" not in columns:  # pre-dedup manifests
-            conn.execute("ALTER TABLE checkpoints ADD COLUMN "
-                         "payload_digest TEXT NOT NULL DEFAULT ''")
-        if "recipe" not in columns:  # pre-delta-checkpoint manifests
-            conn.execute("ALTER TABLE checkpoints ADD COLUMN "
-                         "recipe TEXT NOT NULL DEFAULT ''")
+        for column in ("payload_digest",  # pre-dedup manifests
+                       "recipe"):  # pre-delta-checkpoint manifests
+            if column in columns:
+                continue
+            try:
+                conn.execute(f"ALTER TABLE checkpoints ADD COLUMN "
+                             f"{column} TEXT NOT NULL DEFAULT ''")
+            except sqlite3.OperationalError as exc:
+                # Another opener of the same run (a GC mark pass, a
+                # second worker) added it after our column check.
+                if "duplicate column name" not in str(exc):
+                    raise
 
     def _connection(self) -> sqlite3.Connection:
         """The process-wide connection, (re)opened lazily and after fork."""
         pid = os.getpid()
-        if self._conn is None or (self._conn_pid != pid
-                                  and self.path is not None):
+        if self._conn is None or self._conn_pid != pid:
             # After fork the inherited connection object must not be used
             # (or even closed) in the child; just drop the reference.
-            conn = sqlite3.connect(self.path or ":memory:",
+            conn = sqlite3.connect(self.path,
                                    timeout=_BUSY_TIMEOUT_S,
                                    check_same_thread=False)
             # Shared homes see cross-process contention: a GC pass opens
@@ -217,8 +212,7 @@ class Manifest:
             # locked" (the connect-level timeout only covers acquiring the
             # initial lock, not later lock upgrades).
             conn.execute(f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}")
-            if self.path is not None:
-                self._enable_wal(conn)
+            self._enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             self._conn = conn
             self._conn_pid = pid
@@ -422,9 +416,6 @@ class Manifest:
     def close(self) -> None:
         """Release the connection (reopened lazily if used again)."""
         with self._lock:
-            if self.path is None:  # the in-memory connection is the data
-                self.flush()
-                return
             if self._conn is not None and self._conn_pid == os.getpid():
                 self._conn.commit()
                 self._conn.close()
@@ -432,79 +423,50 @@ class Manifest:
             self._conn_pid = None
 
 
-def _load_or_init_shard_count(root_dir: Path, requested: int) -> int:
-    """The shard count recorded in ``shards.json``, written on first use."""
-    if requested < 1:
-        raise StorageError(f"num_shards must be >= 1, got {requested}")
+def _load_shard_count(root_dir: Path) -> int:
+    """The shard count a legacy sharded run recorded in ``shards.json``."""
     manifest_path = root_dir / SHARD_MANIFEST_NAME
-    if manifest_path.exists():
-        try:
-            recorded = json.loads(manifest_path.read_text("utf-8"))
-            return int(recorded["num_shards"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise StorageError(
-                f"corrupt shard manifest at {manifest_path}: {exc}"
-            ) from exc
-    root_dir.mkdir(parents=True, exist_ok=True)
-    # Temp file + atomic rename: a GC pass sniffing the run mid-create
-    # must never read a half-written root manifest.
-    tmp = manifest_path.with_name(f"{SHARD_MANIFEST_NAME}.{os.getpid()}-"
-                                  f"{threading.get_ident()}.tmp")
-    tmp.write_text(json.dumps(
-        {"version": 1, "num_shards": requested,
-         "partitioner": "sha256(block_id)[:8] % num_shards"}), "utf-8")
-    os.replace(tmp, manifest_path)
-    return requested
+    try:
+        recorded = json.loads(manifest_path.read_text("utf-8"))
+        count = int(recorded["num_shards"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StorageError(
+            f"corrupt shard manifest at {manifest_path}: {exc}") from exc
+    if count < 1:
+        raise StorageError(
+            f"corrupt shard manifest at {manifest_path}: num_shards "
+            f"must be >= 1, got {count}")
+    return count
 
 
 class StorageBackend:
     """A run's manifests behind a partitioner, over one payload plane.
 
-    ``shards`` holds one :class:`Manifest` per partition — one for the
-    ``local`` and ``memory`` layouts, ``num_shards`` for ``sharded`` —
-    and rows route by ``int(sha256(block_id)[:8], 16) % num_shards``,
-    stable across processes (``hash()`` is randomized for strings).  Run
-    metadata lives in shard 0.  Payloads go to the home-shared object
-    store when dedup is on; with ``dedup=False`` they are legacy files
-    under each shard's ``checkpoints/`` tree or, in memory, ``mem:``
-    entries of a dict.  The memory layout is not shared across processes
-    (a forked child writes into its own copy): use in-process strategies.
+    ``shards`` holds one :class:`Manifest` per partition — one for every
+    run written today, ``num_shards`` for a legacy sharded run — and rows
+    route by ``int(sha256(block_id)[:8], 16) % num_shards``, stable across
+    processes (``hash()`` is randomized for strings).  Run metadata lives
+    in shard 0.  Payloads go to the home-shared object store when dedup is
+    on; with ``dedup=False`` they are legacy files under each shard's
+    ``checkpoints/`` tree.  ``dedup`` only decides where new payloads go:
+    reads follow the locations the manifest rows record.
     """
 
-    def __init__(self, root_dir: str | Path, name: str = "local", *,
-                 num_shards: int = DEFAULT_NUM_SHARDS, dedup: bool = True):
-        if name not in BACKEND_NAMES:
-            raise StorageError(
-                f"unknown storage backend {name!r}; known backends: "
-                f"{', '.join(BACKEND_NAMES)}")
-        self.name = name
+    def __init__(self, root_dir: str | Path, *, dedup: bool = True):
         self.root_dir = Path(root_dir)
-        home = self.root_dir.parent
-        self._payload_dirs: list[Path] = []
-        self._blobs: dict[str, bytes] | None = None
-        self._objects: PayloadObjectStore | None = None
-        if name == "memory":
-            self.shards = [Manifest(None)]
-            self._blobs = {}
-            # Shared per home so in-memory runs dedup against each other.
-            if dedup:
-                self._objects = MemoryObjectStore.for_dir(home)
-        else:
-            dirs = [self.root_dir]
-            if name == "sharded":
-                count = _load_or_init_shard_count(self.root_dir,
-                                                  int(num_shards))
-                dirs = [self.root_dir / "shards" / f"shard-{k:02d}"
-                        for k in range(count)]
-            self._payload_dirs = [d / "checkpoints" for d in dirs]
-            for payload_dir in self._payload_dirs:
-                payload_dir.mkdir(parents=True, exist_ok=True)
-            self.shards = [Manifest(d / "manifest.sqlite") for d in dirs]
-            # One object store per home: an identical payload is one blob
-            # whichever shard its row lands in, and across runs.
-            if dedup:
-                self._objects = FileObjectStore.for_dir(
-                    default_objects_dir(home))
+        dirs = [self.root_dir]
+        self.name = "local"
+        if (self.root_dir / SHARD_MANIFEST_NAME).exists():
+            self.name = "sharded"
+            dirs = [self.root_dir / "shards" / f"shard-{k:02d}"
+                    for k in range(_load_shard_count(self.root_dir))]
+        self._payload_dirs = [d / "checkpoints" for d in dirs]
+        self.shards = [Manifest(d / "manifest.sqlite") for d in dirs]
+        # One object store per home: an identical payload is one blob
+        # whichever shard its row lands in, and across runs.
+        self._objects: FileObjectStore | None = (
+            FileObjectStore.for_dir(default_objects_dir(self.root_dir.parent))
+            if dedup else None)
         self.num_shards = len(self.shards)
         #: The manifest holding the run metadata table.
         self.metadata: Manifest = self.shards[0]
@@ -534,12 +496,6 @@ class StorageBackend:
         """
         if self._objects is not None:
             return self._objects.put(digest or digest_bytes(payload), payload)
-        if self._blobs is not None:
-            # No "//" in the scheme: locations round-trip through pathlib,
-            # which collapses duplicate slashes.
-            location = f"mem:{sanitize_block_id(block_id)}/{execution_index}"
-            self._blobs[location] = bytes(payload)
-            return location
         path = (self._payload_dirs[self.shard_for(block_id)]
                 / sanitize_block_id(block_id) / f"{execution_index}.ckpt")
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -547,16 +503,7 @@ class StorageBackend:
         return str(path)
 
     def read_payload(self, location: str) -> bytes:
-        if self._blobs is None:
-            return Path(location).read_bytes()
-        object_digest = MemoryObjectStore.digest_of_location(location)
-        if object_digest is not None and self._objects is not None:
-            return self._objects.get(object_digest)
-        try:
-            return self._blobs[str(location)]
-        except KeyError:
-            raise StorageError(
-                f"no in-memory payload at {location!r}") from None
+        return Path(location).read_bytes()
 
     def discard_payload(self, location: str) -> int:
         """Delete one *legacy* (per-execution) payload; returns bytes freed.
@@ -564,11 +511,6 @@ class StorageBackend:
         Content-addressed blobs are never deleted through this — they may
         be shared — only by the lifecycle GC once unreferenced.
         """
-        if self._blobs is not None:
-            if MemoryObjectStore.digest_of_location(location) is not None:
-                return 0
-            blob = self._blobs.pop(str(location), None)
-            return len(blob) if blob is not None else 0
         path = Path(location)
         if not any(path.is_relative_to(d) for d in self._payload_dirs):
             return 0  # a shared blob or another run's file: GC's call
@@ -579,7 +521,7 @@ class StorageBackend:
         except FileNotFoundError:
             return 0
 
-    def object_store(self) -> PayloadObjectStore | None:
+    def object_store(self) -> FileObjectStore | None:
         """The content-addressed store payloads dedup into (None = legacy)."""
         return self._objects
 
@@ -653,75 +595,3 @@ class StorageBackend:
         """Release resources.  The backend reopens lazily if used again."""
         for shard in self.shards:
             shard.close()
-
-
-#: Process-wide registry of in-memory backends, keyed by resolved run dir,
-#: so reopening a store in the same process attaches to the same data.
-_MEMORY_REGISTRY: dict[str, StorageBackend] = {}
-_MEMORY_REGISTRY_LOCK = threading.Lock()
-
-
-def _registry_key(root_dir: str | Path) -> str:
-    return str(Path(root_dir).expanduser().resolve())
-
-
-def discard_memory_dir(run_dir: str | Path) -> None:
-    """Drop the registered in-memory backend for ``run_dir`` (test hygiene)."""
-    with _MEMORY_REGISTRY_LOCK:
-        _MEMORY_REGISTRY.pop(_registry_key(run_dir), None)
-
-
-def registered_memory_backends(home: str | Path) -> list[StorageBackend]:
-    """Registered in-memory backends whose run dir sits under ``home``.
-
-    The lifecycle GC's view of in-memory runs: their manifests exist only
-    in this registry, so the mark phase must include them alongside the
-    on-disk run dirs it scans.
-    """
-    home_key = str(Path(home).expanduser().resolve())
-    with _MEMORY_REGISTRY_LOCK:
-        items = list(_MEMORY_REGISTRY.items())
-    return [backend for key, backend in items
-            if str(Path(key).parent) == home_key]
-
-
-def resolve_backend(run_dir: str | Path,
-                    backend: "StorageBackend | str | None" = None,
-                    *, num_shards: int | None = None,
-                    dedup: bool = True) -> StorageBackend:
-    """Resolve a backend for ``run_dir``.
-
-    An explicit :class:`StorageBackend` instance wins.  Otherwise an
-    existing on-disk layout is sniffed first — a ``shards.json`` reopens
-    the run as sharded (with its recorded shard count) and an in-memory
-    registration reattaches it in-process — so replaying a run never
-    requires the caller to know how it was recorded.  Absent both, the
-    named backend (default ``"local"``) is created.  ``dedup`` routes new
-    payload writes through the home-shared content-addressed object store
-    (reads always follow the manifest's recorded locations, so either
-    setting reads either layout).
-    """
-    if isinstance(backend, StorageBackend):
-        return backend
-    run_dir = Path(run_dir)
-    shards = num_shards or DEFAULT_NUM_SHARDS
-    if (run_dir / SHARD_MANIFEST_NAME).exists():
-        return StorageBackend(run_dir, "sharded", num_shards=shards,
-                              dedup=dedup)
-    if (run_dir / "manifest.sqlite").exists():
-        # An existing local run wins over any requested name: replaying a
-        # recorded run must work regardless of the caller's configuration.
-        return StorageBackend(run_dir, "local", dedup=dedup)
-    key = _registry_key(run_dir)
-    with _MEMORY_REGISTRY_LOCK:
-        registered = _MEMORY_REGISTRY.get(key)
-        if registered is not None and backend in (None, "local", "memory"):
-            return registered
-        if backend == "memory":
-            # ``dedup`` only matters on first creation: reattachment keeps
-            # the layout the run was recorded under.
-            registered = _MEMORY_REGISTRY[key] = StorageBackend(
-                run_dir, "memory", dedup=dedup)
-            return registered
-    return StorageBackend(run_dir, backend or "local", num_shards=shards,
-                          dedup=dedup)

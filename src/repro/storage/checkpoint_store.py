@@ -1,6 +1,6 @@
 """The checkpoint store: one facade over the storage backend.
 
-Layout per run (local layout, the default)::
+Layout per run::
 
     <home>/<run_id>/
         manifest.sqlite        -- SQLite index of every checkpoint + run metadata
@@ -16,11 +16,9 @@ With ``dedup`` on, payloads live in the home-shared object store.  Under
 the default configuration (``FlorConfig.chunking="fixed"``) a checkpoint
 is a *recipe* of content-addressed chunk blobs, of which only the new
 ones are written; with chunking off a whole payload is one blob named by
-its digest.  The sharded layout replaces
-``manifest.sqlite`` + ``checkpoints/`` with a ``shards.json`` root
-manifest and ``shards/shard-<k>/`` subtrees, each a complete local
-layout; the memory layout keeps the manifest on SQLite ``:memory:`` and
-the payloads in process memory.  See :mod:`repro.storage.backends`.
+its digest.  Runs written by older versions in the sharded layout
+(``shards.json`` plus ``shards/shard-<k>/`` subtrees) still open: the
+backend reads the layout from disk.  See :mod:`repro.storage.backends`.
 
 :class:`CheckpointStore` owns what is common to every layout: payload
 encoding and chunking, digests, timing measurements, JSON encoding of run
@@ -43,8 +41,7 @@ from ..telemetry import get_metrics, get_tracer
 from ..utils.hashing import digest_bytes
 from ..utils.timing import monotonic
 from . import compression
-from .backends import (CheckpointRecord, ManifestTotals, StorageBackend,
-                       resolve_backend)
+from .backends import CheckpointRecord, ManifestTotals, StorageBackend
 from .chunking import DEFAULT_CHUNK_NBYTES, chunk_payload
 from .serializer import (SerializedCheckpoint, ValueSnapshot,
                          deserialize_checkpoint, payload_segments,
@@ -68,23 +65,18 @@ class CheckpointStore:
     row records, so any store setting replays any run.
     """
 
-    def __init__(self, run_dir: str | Path, compress: bool = True,
-                 backend: StorageBackend | str | None = None,
-                 num_shards: int | None = None, dedup: bool = True,
+    def __init__(self, run_dir: str | Path, *, dedup: bool = True,
                  chunking: str = "off",
                  chunk_nbytes: int = DEFAULT_CHUNK_NBYTES,
                  codec: str = "gzip", codec_level: int | None = None):
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.source_dir = self.run_dir / "source"
-        self.source_dir.mkdir(parents=True, exist_ok=True)
-        self.compress = compress
         self.chunking = chunking
         self.chunk_nbytes = chunk_nbytes
         self.codec = codec
         self.codec_level = codec_level
-        self.backend: StorageBackend = resolve_backend(
-            self.run_dir, backend, num_shards=num_shards, dedup=dedup)
+        self.backend = StorageBackend(self.run_dir, dedup=dedup)
         # ``digest -> raw bytes`` of the last chunked ``get``'s verified
         # chunks: at most one checkpoint, replaced (never grown) per read.
         self._restored_chunks: dict[str, bytes] = {}
@@ -98,10 +90,7 @@ class CheckpointStore:
         stores through it, so a new storage knob propagates everywhere at
         once.
         """
-        return cls(run_dir, compress=config.compress_checkpoints,
-                   backend=config.storage_backend,
-                   num_shards=config.storage_shards, dedup=config.dedup,
-                   chunking=config.chunking,
+        return cls(run_dir, dedup=config.dedup, chunking=config.chunking,
                    chunk_nbytes=config.chunk_nbytes,
                    codec=config.codec, codec_level=config.codec_level)
 
@@ -161,6 +150,8 @@ class CheckpointStore:
         return target.read_text(encoding="utf-8")
 
     def list_sources(self) -> list[str]:
+        if not self.source_dir.is_dir():
+            return []
         return sorted(str(p.relative_to(self.source_dir))
                       for p in self.source_dir.rglob("*") if p.is_file())
 
@@ -169,7 +160,7 @@ class CheckpointStore:
     # ------------------------------------------------------------------ #
     def put(self, block_id: str, execution_index: int,
             snapshots: list[ValueSnapshot]) -> CheckpointRecord:
-        """Serialize, (optionally) compress and persist a checkpoint."""
+        """Serialize, encode and persist a checkpoint."""
         serialized = serialize_checkpoint(snapshots)
         return self.put_serialized(block_id, execution_index, serialized)
 
@@ -213,8 +204,6 @@ class CheckpointStore:
 
     def encode_whole(self, payload: bytes) -> bytes:
         """The stored form of a whole (non-chunked) payload."""
-        if not self.compress:
-            return payload
         with get_tracer().span("storage.encode", nbytes=len(payload)) as span:
             result = compression.compress(payload, level=self.codec_level,
                                           codec=self.codec)
@@ -267,11 +256,10 @@ class CheckpointStore:
         objects = self.backend.object_store()
         payload = serialized.data
         digest = digest_bytes(payload)
-        codec = self.codec if self.compress else "raw"
         start = monotonic()
         span = get_tracer().span("storage.chunk", block_id=block_id,
                                  execution_index=execution_index,
-                                 codec=codec)
+                                 codec=self.codec)
         recipe: list[str] = []
         stored_nbytes = 0
         reused_chunks = 0
@@ -288,14 +276,15 @@ class CheckpointStore:
                 recipe.append(chunk_digest)
                 blob_nbytes = objects.touch(chunk_digest)
                 if blob_nbytes is None:
-                    # Chunk blobs are ALWAYS framed (raw codec when the store
-                    # does not compress): reassembly decodes by frame id, so
-                    # chunk content can never be mistaken for a codec magic.
+                    # Chunk blobs are ALWAYS framed (``codec="raw"`` frames
+                    # without compressing): reassembly decodes by frame id,
+                    # so chunk content can never be mistaken for a codec
+                    # magic.
                     result = compression.compress(view,
                                                   level=self.codec_level,
-                                                  codec=codec)
+                                                  codec=self.codec)
                     framed[result.codec] += 1
-                    if result.codec != codec:
+                    if result.codec != self.codec:
                         bypassed_nbytes += result.raw_nbytes
                     compressed_out += result.compressed_nbytes
                     objects.put(chunk_digest, result.data)
@@ -354,7 +343,8 @@ class CheckpointStore:
         and query jobs restore checkpoints in ascending order, so the
         previous restore is the nearest neighbour (the frozen part of a
         model costs nothing twice).  The full-payload digest is checked
-        on every read.
+        on every read: over the reassembled raw bytes of a chunked row,
+        over the stored bytes (before decoding) of a whole row.
         """
         with get_tracer().span("storage.get", block_id=block_id,
                                execution_index=execution_index) as span:
@@ -365,10 +355,7 @@ class CheckpointStore:
                 self._restored_chunks = chunks
                 span.set(reused=len(chunks.keys() & previous.keys()))
             else:
-                payload = self.backend.read_payload(str(record.path))
-                # Frame/gzip-magic dispatch; legacy uncompressed payloads
-                # pass through untouched.
-                payload = compression.decompress(payload)
+                payload = compression.decompress(self._read_whole(record))
             span.set(nbytes=len(payload), chunked=record.is_chunked())
             get_metrics().inc("storage.bytes_read", len(payload))
             return deserialize_checkpoint(payload)
@@ -409,6 +396,20 @@ class CheckpointStore:
                 f"checkpoint {where} reassembled from {len(digests)} chunks "
                 "does not match its manifest digest")
         return payload, chunks
+
+    def _read_whole(self, record: CheckpointRecord) -> bytes:
+        """A whole row's stored bytes, verified against its manifest digest.
+
+        Whole rows digest the bytes as stored (framed, gzip or unframed),
+        so a flipped bit is caught before any decoder runs.
+        """
+        stored = self.backend.read_payload(str(record.path))
+        if digest_bytes(stored) != record.digest:
+            raise SerializationError(
+                f"checkpoint {record.block_id}[{record.execution_index}] "
+                f"at {record.path} is corrupt: stored bytes do not match "
+                "its manifest digest")
+        return stored
 
     @staticmethod
     def _read_chunk(objects, chunk_digest: str, what: str) -> bytes:

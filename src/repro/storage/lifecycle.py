@@ -41,10 +41,8 @@ from typing import TYPE_CHECKING, Iterable
 from ..exceptions import StorageError
 from ..telemetry import get_tracer
 from ..utils.timing import monotonic
-from .backends import (SHARD_MANIFEST_NAME, StorageBackend,
-                       registered_memory_backends)
-from .objectstore import (FileObjectStore, MemoryObjectStore,
-                          PayloadObjectStore, default_objects_dir)
+from .backends import SHARD_MANIFEST_NAME, StorageBackend
+from .objectstore import FileObjectStore, default_objects_dir
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .checkpoint_store import CheckpointStore
@@ -164,7 +162,7 @@ class PruneReport:
 
 @dataclass
 class GCReport:
-    """Outcome of one mark-and-sweep pass over a home's object stores."""
+    """Outcome of one mark-and-sweep pass over a home's object store."""
 
     home: str = ""
     scanned_runs: int = 0
@@ -393,50 +391,30 @@ def _looks_like_manifest_dir(path: Path) -> bool:
             or (path / SHARD_MANIFEST_NAME).exists())
 
 
-def _home_backends(home: Path) -> list[tuple[StorageBackend, bool]]:
+def _home_backends(home: Path) -> list[StorageBackend]:
     """Every backend holding manifest rows for runs under ``home``.
 
-    Returns ``(backend, opened_here)`` pairs; the caller closes the ones
-    opened here (registered in-memory backends are shared and stay open).
+    Bare backends, not stores: the mark pass creates no directory in a
+    run (no ``source/``, no ``checkpoints/``).  The caller closes them.
     """
-    # Function-level import: checkpoint_store imports this module lazily
-    # and vice versa.
-    from .checkpoint_store import CheckpointStore
-
-    backends: list[tuple[StorageBackend, bool]] = []
-    seen: set[int] = set()
-    if home.is_dir():
-        for run_dir in sorted(home.iterdir()):
-            if run_dir.is_dir() and _looks_like_manifest_dir(run_dir):
-                backend = CheckpointStore(run_dir).backend
-                if id(backend) not in seen:
-                    seen.add(id(backend))
-                    backends.append((backend, True))
-    for backend in registered_memory_backends(home):
-        if id(backend) not in seen:
-            seen.add(id(backend))
-            backends.append((backend, False))
-    return backends
+    if not home.is_dir():
+        return []
+    return [StorageBackend(run_dir) for run_dir in sorted(home.iterdir())
+            if run_dir.is_dir() and _looks_like_manifest_dir(run_dir)]
 
 
-def _home_object_stores(home: Path) -> list[PayloadObjectStore]:
-    stores: list[PayloadObjectStore] = []
+def _home_object_store(home: Path) -> FileObjectStore | None:
     objects_dir = default_objects_dir(home)
-    if objects_dir.is_dir():
-        stores.append(FileObjectStore.for_dir(objects_dir))
-    registered = MemoryObjectStore.registered_for(home)
-    if registered is not None:
-        stores.append(registered)
-    return stores
+    return FileObjectStore.for_dir(objects_dir) if objects_dir.is_dir() \
+        else None
 
 
 def referenced_digest_counts(home: str | Path) -> "Counter[str]":
     """Union of every run's derived payload refcounts under ``home``."""
     counts: "Counter[str]" = Counter()
-    for backend, opened_here in _home_backends(Path(home)):
+    for backend in _home_backends(Path(home)):
         counts.update(backend.referenced_digests())
-        if opened_here:
-            backend.close()
+        backend.close()
     return counts
 
 
@@ -445,7 +423,7 @@ def collect_garbage(home: str | Path, *, grace_seconds: float = 0.0,
                     extra_referenced: Iterable[str] = (),
                     release_hints: Iterable[str] = (),
                     hints_released_at: float | None = None) -> GCReport:
-    """Mark-and-sweep the home's object stores (the payload-last half).
+    """Mark-and-sweep the home's object store (the payload-last half).
 
     Mark re-derives the referenced digest set from every manifest under
     ``home`` *now* — not from counters that could have drifted — then
@@ -491,10 +469,9 @@ def _collect_garbage(home: Path, *, grace_seconds: float, dry_run: bool,
     backends = _home_backends(home)
     report.scanned_runs = len(backends)
     referenced: "Counter[str]" = Counter()
-    for backend, opened_here in backends:
+    for backend in backends:
         referenced.update(backend.referenced_digests())
-        if opened_here:
-            backend.close()
+        backend.close()
     for digest in extra_referenced:
         referenced[digest] += 1
     report.referenced_digests = len(referenced)
@@ -503,52 +480,53 @@ def _collect_garbage(home: Path, *, grace_seconds: float, dry_run: bool,
     # Blobs touched after the hint cutoff are not covered by the hints.
     hint_cutoff = now if hints_released_at is None \
         else min(hints_released_at, now)
-    for objects in _home_object_stores(home):
-        held = objects.digests()
-        sweepable: list[str] = []
-        hinted_sweepable: list[str] = []
-        for digest, nbytes in held.items():
-            hinted = (digest in released
-                      and objects.age_seconds(digest, now)
-                      >= now - hint_cutoff)
-            if digest in referenced:
-                report.kept_objects += 1
-                report.kept_nbytes += nbytes
-            elif not hinted and \
-                    objects.age_seconds(digest, now) < grace_seconds:
-                report.deferred_objects += 1
-                report.kept_objects += 1
-                report.kept_nbytes += nbytes
-            elif hinted:
-                hinted_sweepable.append(digest)
-            else:
-                sweepable.append(digest)
-        if dry_run:
-            planned = sweepable + hinted_sweepable
-            report.swept_objects += len(planned)
-            report.swept_nbytes += sum(held[digest] for digest in planned)
+    objects = _home_object_store(home)
+    if objects is None:
+        return report
+    held = objects.digests()
+    sweepable: list[str] = []
+    hinted_sweepable: list[str] = []
+    for digest, nbytes in held.items():
+        hinted = (digest in released
+                  and objects.age_seconds(digest, now)
+                  >= now - hint_cutoff)
+        if digest in referenced:
+            report.kept_objects += 1
+            report.kept_nbytes += nbytes
+        elif not hinted and \
+                objects.age_seconds(digest, now) < grace_seconds:
+            report.deferred_objects += 1
+            report.kept_objects += 1
+            report.kept_nbytes += nbytes
+        elif hinted:
+            hinted_sweepable.append(digest)
         else:
-            # ``not_newer_than`` re-checks age at unlink time: a blob a
-            # concurrent writer re-referenced after this pass's mark
-            # phase (dedup put -> age refresh -> manifest commit) must
-            # survive even though the mark saw it as unreferenced.
-            # Hinted blobs re-check against the *hint cutoff*: a dedup
-            # re-put landing between the prune and this unlink makes the
-            # hint stale for that blob, and the refreshed mtime vetoes
-            # the deletion.
-            deleted, freed = objects.delete(sweepable, not_newer_than=now)
-            report.swept_objects += deleted
-            report.swept_nbytes += freed
-            deleted, freed = objects.delete(hinted_sweepable,
-                                            not_newer_than=hint_cutoff)
-            report.swept_objects += deleted
-            report.swept_nbytes += freed
-            if isinstance(objects, FileObjectStore):
-                # Temp files are another writer's in-flight state: sweep
-                # only ones old enough that their writer is surely dead,
-                # regardless of how aggressive this pass's blob grace is.
-                report.stranded_tmp_removed += objects.sweep_stranded_tmp(
-                    max(grace_seconds, _TMP_SWEEP_FLOOR_SECONDS))
+            sweepable.append(digest)
+    if dry_run:
+        planned = sweepable + hinted_sweepable
+        report.swept_objects += len(planned)
+        report.swept_nbytes += sum(held[digest] for digest in planned)
+    else:
+        # ``not_newer_than`` re-checks age at unlink time: a blob a
+        # concurrent writer re-referenced after this pass's mark
+        # phase (dedup put -> age refresh -> manifest commit) must
+        # survive even though the mark saw it as unreferenced.
+        # Hinted blobs re-check against the *hint cutoff*: a dedup
+        # re-put landing between the prune and this unlink makes the
+        # hint stale for that blob, and the refreshed mtime vetoes
+        # the deletion.
+        deleted, freed = objects.delete(sweepable, not_newer_than=now)
+        report.swept_objects += deleted
+        report.swept_nbytes += freed
+        deleted, freed = objects.delete(hinted_sweepable,
+                                        not_newer_than=hint_cutoff)
+        report.swept_objects += deleted
+        report.swept_nbytes += freed
+        # Temp files are another writer's in-flight state: sweep only
+        # ones old enough that their writer is surely dead, regardless of
+        # how aggressive this pass's blob grace is.
+        report.stranded_tmp_removed = objects.sweep_stranded_tmp(
+            max(grace_seconds, _TMP_SWEEP_FLOOR_SECONDS))
     return report
 
 
@@ -556,19 +534,19 @@ def measure_storage(home: str | Path) -> StorageStats:
     """Aggregate the home's manifest-plane and payload-plane footprint."""
     home = Path(home)
     stats = StorageStats(home=str(home))
-    for backend, opened_here in _home_backends(home):
+    for backend in _home_backends(home):
         stats.runs += 1
         for record in backend.records():
             stats.checkpoints += 1
             stats.logical_nbytes += record.stored_nbytes
             if record.is_legacy_payload():
                 stats.legacy_nbytes += record.stored_nbytes
-        if opened_here:
-            backend.close()
-    for objects in _home_object_stores(home):
+        backend.close()
+    objects = _home_object_store(home)
+    if objects is not None:
         object_stats = objects.stats()
-        stats.physical_objects += object_stats.objects
-        stats.physical_nbytes += object_stats.total_nbytes
+        stats.physical_objects = object_stats.objects
+        stats.physical_nbytes = object_stats.total_nbytes
     return stats
 
 

@@ -212,11 +212,9 @@ def run_distributed_record(workload_name: str = "cifr", world_size: int = 2,
 
     Workers are real OS processes (the shared-home writer race is only
     real across processes); each records its shard-local run under
-    ``<job_id>@<rank>``.  In-memory backends cannot span processes, so a
-    ``memory``-backend config records its workers sequentially in this
-    process instead — same runs, same shared (process-local) object store,
-    no concurrency.  Worker failures are reported per worker, not raised:
-    the surviving workers' runs are still valid, queryable Flor runs.
+    ``<job_id>@<rank>``.  Worker failures are reported per worker, not
+    raised: the surviving workers' runs are still valid, queryable Flor
+    runs.
     """
     if world_size < 1:
         raise WorkloadError(f"world_size must be >= 1, got {world_size}")
@@ -227,7 +225,7 @@ def run_distributed_record(workload_name: str = "cifr", world_size: int = 2,
 
     jobs = [(job_id, rank, world_size, workload_name, epochs, seed, config)
             for rank in range(world_size)]
-    if world_size == 1 or config.storage_backend == "memory":
+    if world_size == 1:
         summaries = [_worker_entry(job) for job in jobs]
     else:
         method = start_method or ("fork" if hasattr(os, "fork") else "spawn")

@@ -19,12 +19,17 @@ survive any crash:
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
+import os
+import sqlite3
+import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.storage.checkpoint_store import CheckpointStore
 from repro.storage.lifecycle import collect_garbage, referenced_digest_counts
 from repro.utils.hashing import digest_bytes
 
@@ -32,7 +37,71 @@ __all__ = ["InjectedCrash", "FaultInjector", "crash_calls",
            "assert_manifest_closed", "assert_no_orphans",
            "assert_crash_consistent", "assert_refcounts_exact",
            "start_recorder_process", "start_client_process",
-           "wait_for_file", "kill_process"]
+           "wait_for_file", "kill_process", "LAYOUTS",
+           "make_pre_dedup_run_dir", "make_sharded_run_dir",
+           "open_layout_store"]
+
+#: Run layouts storage tests parametrize over: ``local`` is how every run
+#: is written; ``migrated`` is a run whose manifest an older version
+#: created with the original nine-column schema (migrated in place on
+#: open); ``sharded`` is a sharded run older versions wrote.  The last two
+#: must keep working for reads, writes into them, prune and GC.
+LAYOUTS = ["local", "migrated", "sharded"]
+
+
+def make_sharded_run_dir(run_dir: Path, num_shards: int = 3) -> Path:
+    """Start ``run_dir`` as older versions started a sharded run.
+
+    They wrote the ``shards.json`` root manifest first; the shard
+    manifests follow when a store opens the run, and every later write
+    routes through them.
+    """
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    # Temp file + rename, as they wrote it: a GC pass sniffing the run
+    # must never read a half-written root manifest.
+    tmp = run_dir / f"shards.json.{os.getpid()}-{threading.get_ident()}.tmp"
+    tmp.write_text(json.dumps(
+        {"version": 1, "num_shards": num_shards,
+         "partitioner": "sha256(block_id)[:8] % num_shards"}), "utf-8")
+    os.replace(tmp, run_dir / "shards.json")
+    return run_dir
+
+
+def make_pre_dedup_run_dir(run_dir: Path) -> Path:
+    """Start ``run_dir`` with an empty manifest in the first schema.
+
+    The ``checkpoints`` table lacks the ``payload_digest`` and ``recipe``
+    columns later versions added; opening a store migrates it in place.
+    """
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    conn = sqlite3.connect(run_dir / "manifest.sqlite")
+    with conn:
+        conn.executescript("""
+            CREATE TABLE checkpoints (
+                block_id TEXT NOT NULL, execution_index INTEGER NOT NULL,
+                path TEXT NOT NULL, raw_nbytes INTEGER NOT NULL,
+                stored_nbytes INTEGER NOT NULL, digest TEXT NOT NULL,
+                serialize_seconds REAL NOT NULL,
+                write_seconds REAL NOT NULL, created_at REAL NOT NULL,
+                PRIMARY KEY (block_id, execution_index));
+            CREATE TABLE run_metadata (key TEXT PRIMARY KEY,
+                                       value TEXT NOT NULL);
+        """)
+    conn.close()
+    return run_dir
+
+
+def open_layout_store(run_dir: Path, layout: str, num_shards: int = 3,
+                      **kwargs) -> CheckpointStore:
+    """A :class:`CheckpointStore` on ``run_dir`` in ``layout``."""
+    run_dir = Path(run_dir)
+    if layout == "sharded" and not (run_dir / "shards.json").exists():
+        make_sharded_run_dir(run_dir, num_shards)
+    if layout == "migrated" and not (run_dir / "manifest.sqlite").exists():
+        make_pre_dedup_run_dir(run_dir)
+    return CheckpointStore(run_dir, **kwargs)
 
 
 class InjectedCrash(Exception):
@@ -134,10 +203,9 @@ def assert_no_orphans(home: str | Path) -> None:
     home = Path(home)
     collect_garbage(home, grace_seconds=0.0)
     referenced = set(referenced_digest_counts(home))
-    from repro.storage.lifecycle import _home_object_stores
-    held: set[str] = set()
-    for objects in _home_object_stores(home):
-        held.update(objects.digests())
+    from repro.storage.lifecycle import _home_object_store
+    objects = _home_object_store(home)
+    held = set(objects.digests()) if objects is not None else set()
     assert held == referenced, (
         f"object store out of sync after GC: "
         f"orphans={sorted(held - referenced)} "

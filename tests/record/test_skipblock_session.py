@@ -131,6 +131,25 @@ class TestReplayMode:
         # state restored from checkpoints, so the logged losses match exactly.
         assert replay_losses == pytest.approx(record_losses, rel=1e-6)
 
+    def test_replay_session_starts_no_threads(self, flor_config):
+        """Replay writes no checkpoints, so it owns no spool threads."""
+        import threading
+        run_id, _ = self.record_run(flor_config, "replay-threads")
+        before = threading.active_count()
+        replay = Session(run_id, Mode.REPLAY, config=flor_config)
+        try:
+            assert replay.materializer is None
+            assert threading.active_count() == before
+            with replay:
+                train_with_explicit_api(replay)
+                assert threading.active_count() == before
+        finally:
+            replay.close()
+        # A record session still owns its spool.
+        record = Session("record-threads", Mode.RECORD, config=flor_config)
+        assert record.materializer is not None
+        record.close()
+
     def test_probed_block_is_reexecuted(self, flor_config):
         run_id, record_losses = self.record_run(flor_config, "replay-probed")
         replay = Session(run_id, Mode.REPLAY, config=flor_config,

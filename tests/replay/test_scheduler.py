@@ -18,7 +18,7 @@ def make_store(tmp_path, checkpoints: dict[str, list[int]],
                loop_blocks: list[str] | None = None,
                iteration_stats: dict | None = None) -> CheckpointStore:
     """A store whose manifest claims the given checkpoints exist."""
-    store = CheckpointStore(tmp_path / "run", backend="memory")
+    store = CheckpointStore(tmp_path / "run")
     for block_id, indices in checkpoints.items():
         for index in indices:
             store.backend.index_many([CheckpointRecord(

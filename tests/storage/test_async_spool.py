@@ -176,19 +176,24 @@ for epoch in range(3):
     flor.log("total", float(weights.sum()))
 """
 
-    @pytest.mark.parametrize("backend_name", ["local", "memory", "sharded"])
+    @pytest.mark.parametrize("backend_name", ["local", "migrated",
+                                              "sharded"])
     def test_record_then_replay(self, tmp_path, backend_name):
+        from faultutils import open_layout_store
         from repro.record.recorder import record_source
         from repro.replay.replayer import replay_script
-        from repro.storage.backends import discard_memory_dir
 
         config = FlorConfig(home=tmp_path / "home",
-                            storage_backend=backend_name, storage_shards=2,
                             adaptive_checkpointing=False)
+        run_id = f"spool-{backend_name}"
+        open_layout_store(config.run_dir(run_id), backend_name,
+                          num_shards=2).close()
         repro.set_config(config)
         try:
-            recorded = record_source(self.SCRIPT, name=f"spool-{backend_name}",
-                                     config=config)
+            recorded = record_source(self.SCRIPT, config=config,
+                                     run_id=run_id)
+            assert recorded.storage_backend == (
+                "sharded" if backend_name == "sharded" else "local")
             assert recorded.checkpoint_count == 3
             replayed = replay_script(recorded.run_id, config=config)
             assert replayed.succeeded
@@ -196,7 +201,6 @@ for epoch in range(3):
                 r.value for r in recorded.log_records if r.name == "total"]
         finally:
             repro.reset_config()
-            discard_memory_dir(config.run_dir(recorded.run_id))
 
     def test_spool_metadata_recorded(self, tmp_path):
         from repro.record.recorder import record_source

@@ -1,27 +1,29 @@
-"""Backend conformance suite: every backend honours the same contract.
+"""Backend conformance suite: every run layout honours the same contract.
 
-The same test body runs against the local, in-memory and sharded backends;
-backend-specific behaviour (on-disk layout, shard routing, registry
-reattachment) is covered separately below, and the sharded backend must
-round-trip a replay identically to the local one.
+The same test body runs against the local layout (how every run is
+written), a run whose manifest an older version created in the first
+schema, and the sharded layout older versions wrote — the last two must
+keep working, writes into them included.  Layout-specific behaviour
+(on-disk layout, shard routing) is covered separately below, and a
+sharded run must round-trip a replay identically to a local one.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
 from repro.config import FlorConfig
+from faultutils import LAYOUTS, make_sharded_run_dir, open_layout_store
 from repro.exceptions import CheckpointNotFoundError, StorageError
-from repro.storage.backends import discard_memory_dir, resolve_backend
+from repro.storage.backends import StorageBackend
 from repro.storage.checkpoint_store import CheckpointStore
-from repro.storage.objectstore import MemoryObjectStore
+from repro.storage.compression import codec_of
 from repro.storage.serializer import serialize_checkpoint, snapshot_value
-
-BACKENDS = ["local", "memory", "sharded"]
 
 
 def make_snapshots(value: float = 1.0, size: int = 64):
@@ -29,24 +31,22 @@ def make_snapshots(value: float = 1.0, size: int = 64):
             snapshot_value("epoch", int(value))]
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=LAYOUTS)
 def backend_name(request):
     return request.param
 
 
 @pytest.fixture()
 def store(tmp_path, backend_name):
-    store = CheckpointStore(tmp_path / "run", backend=backend_name,
-                            num_shards=3)
+    store = open_layout_store(tmp_path / "run", backend_name)
     yield store
     store.close()
-    discard_memory_dir(tmp_path / "run")
-    MemoryObjectStore.discard_dir(tmp_path)
 
 
 class TestConformance:
     def test_backend_name_matches_request(self, store, backend_name):
-        assert store.backend.name == backend_name
+        assert store.backend.name == (
+            "sharded" if backend_name == "sharded" else "local")
 
     def test_put_then_get(self, store):
         store.put("train", 0, make_snapshots(3.0))
@@ -124,8 +124,7 @@ class TestConformance:
 
     def test_metadata_keys_prefix_is_literal_not_sql_pattern(self, store):
         # SQL LIKE wildcards in keys or prefixes must match literally:
-        # the SQLite backends answer with a range scan, not LIKE, and the
-        # in-memory backend with str.startswith — same semantics all round.
+        # the manifest answers with a range scan, not LIKE.
         store.set_metadata("memo%x", 1)
         store.set_metadata("memo_y", 2)
         store.set_metadata("memoZZ", 3)
@@ -136,11 +135,9 @@ class TestConformance:
     def test_reopen_preserves_contents(self, store, tmp_path, backend_name):
         store.put("train", 0, make_snapshots(5.0))
         store.set_metadata("run_id", "abc")
-        # Close, not just flush: the memory layout's manifest is a SQLite
-        # ``:memory:`` database, which a dropped connection would lose.
         store.close()
-        reopened = CheckpointStore(tmp_path / "run", backend=backend_name,
-                                   num_shards=3)
+        reopened = CheckpointStore(tmp_path / "run")
+        assert reopened.backend.name == store.backend.name
         assert reopened.get_metadata("run_id") == "abc"
         np.testing.assert_allclose(reopened.get("train", 0)[0].payload,
                                    np.full(64, 5.0))
@@ -150,12 +147,14 @@ class TestConformance:
         assert store.get("weird/block id!", 0)[0].name == "weights"
 
     def test_uncompressed(self, tmp_path, backend_name):
-        store = CheckpointStore(tmp_path / "raw", backend=backend_name,
-                                num_shards=3, compress=False)
+        store = open_layout_store(tmp_path / "raw", backend_name,
+                                  codec="raw")
         record = store.put("train", 0, make_snapshots())
-        assert record.stored_nbytes == record.raw_nbytes
+        stored = store.backend.read_payload(str(record.path))
+        assert codec_of(stored) == "raw"
+        # The raw codec only frames: stored = raw bytes + a small header.
+        assert 0 < record.stored_nbytes - record.raw_nbytes <= 16
         assert store.get("train", 0)[0].name == "weights"
-        discard_memory_dir(tmp_path / "raw")
 
 
 class TestDedupConformance:
@@ -215,8 +214,8 @@ class TestDedupConformance:
 
     def test_dedup_disabled_keeps_legacy_layout(self, tmp_path,
                                                 backend_name):
-        store = CheckpointStore(tmp_path / "plain", backend=backend_name,
-                                num_shards=3, dedup=False)
+        store = open_layout_store(tmp_path / "plain", backend_name,
+                                  dedup=False)
         record = store.put("train", 0, make_snapshots(1.0))
         store.put("train", 1, make_snapshots(1.0))
         assert store.backend.object_store() is None
@@ -226,43 +225,30 @@ class TestDedupConformance:
         assert store.get("train", 0)[0].name == "weights"
         assert store.get("train", 1)[0].name == "weights"
         store.close()
-        discard_memory_dir(tmp_path / "plain")
 
     def test_dedup_store_reads_legacy_run(self, tmp_path, backend_name):
-        legacy = CheckpointStore(tmp_path / "run2", backend=backend_name,
-                                 num_shards=3, dedup=False)
+        legacy = open_layout_store(tmp_path / "run2", backend_name,
+                                   dedup=False)
         legacy.put("train", 0, make_snapshots(8.0))
-        legacy.flush()
-        if backend_name == "memory":
-            reopened = legacy  # memory reattaches to the same backend
-        else:
-            legacy.close()
-            reopened = CheckpointStore(tmp_path / "run2",
-                                       backend=backend_name, num_shards=3,
-                                       dedup=True)
+        legacy.close()
+        reopened = CheckpointStore(tmp_path / "run2", dedup=True)
         np.testing.assert_allclose(reopened.get("train", 0)[0].payload,
                                    np.full(64, 8.0))
-        discard_memory_dir(tmp_path / "run2")
 
     def test_cross_run_dedup_under_one_home(self, tmp_path, backend_name):
-        store_a = CheckpointStore(tmp_path / "run-a", backend=backend_name,
-                                  num_shards=3)
-        store_b = CheckpointStore(tmp_path / "run-b", backend=backend_name,
-                                  num_shards=3)
+        store_a = open_layout_store(tmp_path / "run-a", backend_name)
+        store_b = open_layout_store(tmp_path / "run-b", backend_name)
         store_a.put("train", 0, make_snapshots(6.0))
         store_b.put("train", 5, make_snapshots(6.0))
         objects_a = store_a.backend.object_store()
         objects_b = store_b.backend.object_store()
         assert objects_a is objects_b  # one shared store per home
         assert objects_a.stats().objects == 1
-        for run in ("run-a", "run-b"):
-            discard_memory_dir(tmp_path / run)
-        MemoryObjectStore.discard_dir(tmp_path)
 
 
 class TestLocalBackend:
     def test_single_connection_reused(self, tmp_path):
-        backend = resolve_backend(tmp_path / "run", "local")
+        backend = StorageBackend(tmp_path / "run")
         manifest = backend.shards[0]
         first = manifest._connection()
         backend.blocks()
@@ -272,51 +258,41 @@ class TestLocalBackend:
         assert backend.totals().checkpoints == 0
 
     def test_wal_mode(self, tmp_path):
-        backend = resolve_backend(tmp_path / "run", "local")
+        backend = StorageBackend(tmp_path / "run")
         mode = backend.shards[0]._connection().execute(
             "PRAGMA journal_mode").fetchone()[0]
         assert mode.lower() == "wal"
 
 
-class TestMemoryBackend:
-    def test_no_disk_payloads(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", backend="memory")
+class TestOneLayout:
+    """Every new run is written the same way, whatever the caller asks."""
+
+    def test_new_run_is_one_manifest_over_the_object_store(self, tmp_path):
+        store = CheckpointStore(tmp_path / "run")
         record = store.put("train", 0, make_snapshots())
-        assert str(record.path).startswith("mem:")
-        assert not (tmp_path / "run" / "manifest.sqlite").exists()
+        store.close()
+        assert (tmp_path / "run" / "manifest.sqlite").is_file()
+        assert not (tmp_path / "run" / "shards.json").exists()
+        assert Path(record.path).is_relative_to(tmp_path / "objects")
+        # Nothing is created that the run does not use.
         assert not (tmp_path / "run" / "checkpoints").exists()
-        discard_memory_dir(tmp_path / "run")
+        assert not (tmp_path / "run" / "source").exists()
 
-    def test_registry_reattach_without_backend_name(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", backend="memory")
-        store.put("train", 0, make_snapshots(2.0))
-        # A caller that does not know the run was in-memory still finds it.
-        reopened = CheckpointStore(tmp_path / "run")
-        assert reopened.backend is store.backend
-        discard_memory_dir(tmp_path / "run")
+    @pytest.mark.parametrize("knob", ["storage_backend", "storage_shards",
+                                      "compress_checkpoints"])
+    def test_removed_layout_knobs_are_type_errors(self, tmp_path, knob):
+        with pytest.raises(TypeError):
+            FlorConfig(home=tmp_path, **{knob: None})
 
-    def test_missing_payload_raises_storage_error(self, tmp_path):
-        backend = resolve_backend(tmp_path / "run", "memory")
-        with pytest.raises(StorageError):
-            backend.read_payload("mem:never/0")
-        discard_memory_dir(tmp_path / "run")
-
-    def test_existing_local_run_wins_over_memory_request(self, tmp_path):
-        # Record-time layout on disk must be honoured even when the
-        # reopening caller is configured for a different backend.
-        local = CheckpointStore(tmp_path / "run")
-        local.put("train", 0, make_snapshots(6.0))
-        local.flush()
-        reopened = CheckpointStore(tmp_path / "run", backend="memory")
-        assert reopened.backend.name == "local"
-        np.testing.assert_allclose(reopened.get("train", 0)[0].payload,
-                                   np.full(64, 6.0))
+    @pytest.mark.parametrize("kwarg", ["backend", "num_shards", "compress"])
+    def test_store_takes_no_layout_arguments(self, tmp_path, kwarg):
+        with pytest.raises(TypeError):
+            CheckpointStore(tmp_path / "run", **{kwarg: None})
 
 
 class TestShardedBackend:
     def test_layout_and_shard_manifest(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", backend="sharded",
-                                num_shards=3)
+        store = open_layout_store(tmp_path / "run", "sharded", num_shards=3)
         for index in range(4):
             store.put(f"block-{index}", 0, make_snapshots())
         manifest = json.loads(
@@ -327,28 +303,26 @@ class TestShardedBackend:
         assert shard_dirs == ["shard-00", "shard-01", "shard-02"]
 
     def test_stable_partitioning(self, tmp_path):
-        backend = resolve_backend(tmp_path / "run", "sharded", num_shards=5)
+        backend = StorageBackend(make_sharded_run_dir(tmp_path / "run", 5))
         assignments = {bid: backend.shard_for(bid)
                        for bid in ("train", "eval", "epoch-7")}
-        reopened = resolve_backend(tmp_path / "run", "sharded", num_shards=5)
+        reopened = StorageBackend(tmp_path / "run")
         for bid, shard in assignments.items():
             assert reopened.shard_for(bid) == shard
             assert 0 <= shard < 5
 
     def test_blocks_spread_across_shards(self, tmp_path):
-        backend = resolve_backend(tmp_path / "run", "sharded", num_shards=4)
+        backend = StorageBackend(make_sharded_run_dir(tmp_path / "run", 4))
         used = {backend.shard_for(f"block-{i}") for i in range(32)}
         assert len(used) > 1
 
     def test_persisted_shard_count_wins_on_reopen(self, tmp_path):
-        CheckpointStore(tmp_path / "run", backend="sharded", num_shards=3)
-        reopened = CheckpointStore(tmp_path / "run", backend="sharded",
-                                   num_shards=8)
+        open_layout_store(tmp_path / "run", "sharded", num_shards=3).close()
+        reopened = CheckpointStore(tmp_path / "run")
         assert reopened.backend.num_shards == 3
 
     def test_reopen_autodetects_sharded_layout(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", backend="sharded",
-                                num_shards=3)
+        store = open_layout_store(tmp_path / "run", "sharded")
         store.put("train", 0, make_snapshots(4.0))
         # A default (local) store on the same dir must find the shards.
         reopened = CheckpointStore(tmp_path / "run")
@@ -361,18 +335,7 @@ class TestShardedBackend:
         run.mkdir()
         (run / "shards.json").write_text("{not json", "utf-8")
         with pytest.raises(StorageError, match="corrupt shard manifest"):
-            resolve_backend(run, "sharded")
-
-
-class TestResolveBackend:
-    def test_unknown_name_rejected(self, tmp_path):
-        with pytest.raises(StorageError, match="unknown storage backend"):
-            resolve_backend(tmp_path / "run", "s3-glacier")
-
-    def test_explicit_instance_wins(self, tmp_path):
-        backend = resolve_backend(tmp_path / "run", "memory")
-        assert resolve_backend(tmp_path / "other", backend) is backend
-        discard_memory_dir(tmp_path / "run")
+            StorageBackend(run)
 
 
 class TestShardedReplayRoundtrip:
@@ -395,13 +358,14 @@ for epoch in range(4):
         from repro.replay.replayer import replay_script
 
         config = FlorConfig(home=tmp_path / "home",
-                            storage_backend=backend_name, storage_shards=3,
                             adaptive_checkpointing=False)
+        run_id = f"roundtrip-{backend_name}"
+        if backend_name == "sharded":
+            make_sharded_run_dir(config.run_dir(run_id))
         repro.set_config(config)
         try:
-            recorded = record_source(self.TRAIN_SCRIPT,
-                                     name=f"roundtrip-{backend_name}",
-                                     config=config)
+            recorded = record_source(self.TRAIN_SCRIPT, config=config,
+                                     run_id=run_id)
             assert recorded.storage_backend == backend_name
             record_values = [r.value for r in recorded.log_records
                              if r.name == "checksum"]
@@ -433,8 +397,7 @@ def _record_writer_run(home, backend_name: str, index: int) -> None:
     race on the *same* digests — the dedup-refresh path, not just fresh
     blob creation.
     """
-    store = CheckpointStore(home / f"writer-{index}", backend=backend_name,
-                            num_shards=3)
+    store = open_layout_store(home / f"writer-{index}", backend_name)
     try:
         for j in range(WRITER_ROWS):
             store.put("train", j, make_snapshots(float(j % 3), size=256))
@@ -445,8 +408,7 @@ def _record_writer_run(home, backend_name: str, index: int) -> None:
 def _assert_writers_landed(home, backend_name: str, count: int) -> None:
     from faultutils import (assert_manifest_closed, assert_no_orphans,
                             assert_refcounts_exact)
-    stores = [CheckpointStore(home / f"writer-{i}", backend=backend_name,
-                              num_shards=3)
+    stores = [open_layout_store(home / f"writer-{i}", backend_name)
               for i in range(count)]
     try:
         for i, store in enumerate(stores):
@@ -459,12 +421,6 @@ def _assert_writers_landed(home, backend_name: str, count: int) -> None:
     finally:
         for store in stores:
             store.close()
-
-
-def _discard_memory_state(home, count: int) -> None:
-    for i in range(count):
-        discard_memory_dir(home / f"writer-{i}")
-    MemoryObjectStore.discard_dir(home)
 
 
 class TestConcurrentWriters:
@@ -490,10 +446,7 @@ class TestConcurrentWriters:
         for thread in threads:
             thread.join(timeout=60)
         assert not errors, errors
-        try:
-            _assert_writers_landed(home, backend_name, self.WRITERS)
-        finally:
-            _discard_memory_state(home, self.WRITERS)
+        _assert_writers_landed(home, backend_name, self.WRITERS)
 
     def test_threads_share_one_store(self, store):
         """One store, more writer threads than cores, a tiny switch interval:
@@ -535,7 +488,7 @@ class TestConcurrentWriters:
     @pytest.mark.multiproc
     @pytest.mark.parametrize("process_backend", ["local", "sharded"])
     def test_process_writers_share_one_home(self, tmp_path, process_backend):
-        """Real OS processes — the race the memory backend cannot host."""
+        """Real OS processes, not just threads, racing on one home."""
         import multiprocessing as mp
         home = tmp_path / "home"
         ctx = mp.get_context("fork")
@@ -584,7 +537,4 @@ class TestConcurrentWriters:
         stop.set()
         collector.join(timeout=60)
         assert not errors, errors
-        try:
-            _assert_writers_landed(home, backend_name, self.WRITERS)
-        finally:
-            _discard_memory_state(home, self.WRITERS)
+        _assert_writers_landed(home, backend_name, self.WRITERS)

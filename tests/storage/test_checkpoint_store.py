@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.exceptions import CheckpointNotFoundError, StorageError
+from repro.exceptions import (CheckpointNotFoundError, SerializationError,
+                              StorageError)
 from repro.storage.checkpoint_store import CheckpointStore
+from repro.storage.compression import codec_of
 from repro.storage.serializer import snapshot_value
 
 
@@ -46,15 +50,47 @@ class TestCheckpointRoundtrip:
         assert store.totals().checkpoints == 1
 
     def test_uncompressed_store(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", compress=False)
+        store = CheckpointStore(tmp_path / "run", codec="raw")
         record = store.put("train", 0, make_snapshots())
-        assert record.stored_nbytes == record.raw_nbytes
+        assert codec_of(store.backend.read_payload(str(record.path))) == "raw"
+        assert record.stored_nbytes > record.raw_nbytes  # frame header only
         assert store.get("train", 0)[0].name == "weights"
 
     def test_compression_shrinks_redundant_payloads(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", compress=True)
+        store = CheckpointStore(tmp_path / "run", codec="gzip")
         record = store.put("train", 0, make_snapshots(0.0))
         assert record.stored_nbytes < record.raw_nbytes
+
+
+class TestReadVerifiesDigest:
+    """Every read checks the manifest digest, whole rows included."""
+
+    @pytest.mark.parametrize("layout", [
+        {"chunking": "off"}, {"dedup": False},
+        {"chunking": "fixed", "chunk_nbytes": 1024}])
+    def test_flipped_byte_is_an_error_not_wrong_weights(self, tmp_path,
+                                                        layout):
+        store = CheckpointStore(tmp_path / "run", codec="raw", **layout)
+        weights = np.arange(4096, dtype=np.float32)
+        record = store.put("train", 0, [snapshot_value("weights", weights)])
+        if record.is_chunked():
+            blob = store.backend.object_store().blob_path(
+                record.recipe_digests()[-1])
+        else:
+            blob = Path(record.path)
+        stored = bytearray(blob.read_bytes())
+        stored[-8] ^= 0x01  # inside the last float, past every header
+        blob.write_bytes(bytes(stored))
+        # A fresh store: no previously verified chunks to reuse.
+        with pytest.raises(SerializationError, match="corrupt|digest"):
+            CheckpointStore(tmp_path / "run").get("train", 0)
+
+    def test_intact_whole_rows_still_read(self, tmp_path):
+        for options in ({"chunking": "off"}, {"dedup": False}):
+            store = CheckpointStore(tmp_path / str(options), **options)
+            store.put("train", 0, make_snapshots(2.0))
+            np.testing.assert_allclose(store.get("train", 0)[0].payload,
+                                       np.full(16, 2.0))
 
 
 class TestManifestQueries:

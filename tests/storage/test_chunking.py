@@ -24,43 +24,34 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from faultutils import (InjectedCrash, assert_crash_consistent,
+from faultutils import (LAYOUTS, InjectedCrash, assert_crash_consistent,
                         assert_no_orphans, assert_refcounts_exact,
-                        crash_calls)
+                        crash_calls, open_layout_store)
 from repro.exceptions import SerializationError, StorageError
-from repro.storage.backends import discard_memory_dir
-from repro.storage.checkpoint_store import (RECIPE_LOCATION_PREFIX,
-                                            CheckpointStore)
+from repro.storage.checkpoint_store import RECIPE_LOCATION_PREFIX
 from repro.storage.chunking import chunk_payload, chunk_spans
-from repro.storage.objectstore import MemoryObjectStore
 from repro.storage.serializer import (payload_segments, restore_value,
                                       serialize_checkpoint, snapshot_value)
 from repro.utils.hashing import digest_bytes
-
-BACKENDS = ["local", "memory", "sharded"]
 
 #: Small target so modest test payloads span many chunks.
 CHUNK = 1024
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=LAYOUTS)
 def backend_name(request):
     return request.param
 
 
 @pytest.fixture()
 def home(tmp_path):
-    yield tmp_path
-    for run in ("run", "run-a", "run-b"):
-        discard_memory_dir(tmp_path / run)
-    MemoryObjectStore.discard_dir(tmp_path)
+    return tmp_path
 
 
 def open_store(home, backend_name, run="run", **kwargs):
     kwargs.setdefault("chunking", "fixed")
     kwargs.setdefault("chunk_nbytes", CHUNK)
-    return CheckpointStore(home / run, backend=backend_name, num_shards=3,
-                           **kwargs)
+    return open_layout_store(home / run, backend_name, **kwargs)
 
 
 def model_snapshots(head_value: float, *, backbone_seed: int = 0,
@@ -268,9 +259,9 @@ class TestDeltaWrites:
 
     def test_uncompressed_store_frames_chunks_raw(self, home, backend_name):
         """Chunk digests address raw bytes, so dedup crosses codec settings."""
-        plain = open_store(home, backend_name, compress=False)
+        plain = open_store(home, backend_name, codec="raw")
         first = plain.put("train", 0, model_snapshots(0.0))
-        gzipped = open_store(home, backend_name, run="run-b", compress=True)
+        gzipped = open_store(home, backend_name, run="run-b", codec="gzip")
         second = gzipped.put("train", 0, model_snapshots(0.0))
         assert first.recipe_digests() == second.recipe_digests()
         # The uncompressed store wrote every blob; the gzip store found
@@ -314,7 +305,7 @@ class TestChunkFailures:
 
     def test_swapped_chunk_content_fails_digest_check(self, home):
         """A decodable-but-wrong blob is caught by the per-chunk digest."""
-        store = open_store(home, "local", compress=False)
+        store = open_store(home, "local", codec="raw")
         record = store.put("train", 0, model_snapshots(0.0))
         digests = record.recipe_digests()
         objects = store.backend.object_store()

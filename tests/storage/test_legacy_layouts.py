@@ -3,15 +3,20 @@
 Each home here is laid out by hand — raw ``sqlite3`` for the manifests,
 raw file writes for the payloads — exactly as older versions of the store
 left it, so the test pins the on-disk contract rather than whatever the
-current writer happens to produce.  Two schemas:
+current writer happens to produce.  Three schemas:
 
 * **pre-dedup** — the original nine-column ``checkpoints`` table; every
   payload is a bare-gzip ``checkpoints/<block>/<i>.ckpt`` file;
 * **pre-chunking** — adds ``payload_digest`` (no ``recipe``); one row
-  points into the home-shared object store, one at a legacy file.
+  points into the home-shared object store, one at a legacy file;
+* **current** — adds ``recipe``: one row per block is chunked (gzip-framed
+  chunk blobs in ``objects/``), the other is an unframed whole payload as
+  ``compress_checkpoints=False`` wrote it, once in the object store and
+  once as a legacy file.
 
 Each is laid out both as ``local`` and as ``sharded`` (``shards.json``
-plus one manifest per shard).  Reopening through
+plus one manifest per shard; no current version creates one).  Reopening
+through
 :class:`~repro.storage.checkpoint_store.CheckpointStore` must migrate the
 columns in place, serve every checkpoint bit-exactly, and survive a GC
 sweep that leaves the legacy files alone.
@@ -28,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.storage.checkpoint_store import CheckpointStore
-from repro.storage.compression import decompress
+from repro.storage.compression import FRAME_MAGIC, decompress
 from repro.storage.lifecycle import collect_garbage
 from repro.storage.serializer import (deserialize_checkpoint,
                                      serialize_checkpoint, snapshot_value)
@@ -47,11 +52,21 @@ _COLUMNS_PRE_DEDUP = """
     write_seconds    REAL NOT NULL,
     created_at       REAL NOT NULL,"""
 
+_COLUMNS_PRE_CHUNKING = _COLUMNS_PRE_DEDUP + """
+    payload_digest   TEXT NOT NULL DEFAULT '',"""
+
 SCHEMAS = {
     "pre-dedup": _COLUMNS_PRE_DEDUP,
-    "pre-chunking": _COLUMNS_PRE_DEDUP + """
-    payload_digest   TEXT NOT NULL DEFAULT '',""",
+    "pre-chunking": _COLUMNS_PRE_CHUNKING,
+    "current": _COLUMNS_PRE_CHUNKING + """
+    recipe           TEXT NOT NULL DEFAULT '',""",
 }
+
+#: Columns each schema's rows carry (rows are built 11 wide).
+WIDTHS = {"pre-dedup": 9, "pre-chunking": 10, "current": 11}
+
+#: Frame of a gzip chunk blob: magic, then the codec id byte (gzip = 1).
+_GZIP_FRAME = FRAME_MAGIC + bytes([1])
 
 # Two blocks that the sha256 partitioner sends to different shards, so the
 # sharded home really holds rows in more than one manifest.
@@ -76,7 +91,7 @@ def _write_manifest(db_path: Path, schema: str, rows: list[tuple],
                                        value TEXT NOT NULL);
             CREATE INDEX idx_checkpoints_block ON checkpoints (block_id);
         """)
-        width = 10 if schema == "pre-chunking" else 9
+        width = WIDTHS[schema]
         conn.executemany(
             f"INSERT INTO checkpoints VALUES ({', '.join('?' * width)})",
             [row[:width] for row in rows])
@@ -88,8 +103,8 @@ def _write_manifest(db_path: Path, schema: str, rows: list[tuple],
 def build_legacy_home(home: Path, schema: str, layout: str) -> dict:
     """Lay out one old-schema run; returns ``(block, index) -> raw bytes``.
 
-    Rows are 10-tuples (the pre-chunking width); the pre-dedup writer
-    drops the trailing ``payload_digest``.
+    Rows are 11-tuples (the current width); older schemas drop the
+    trailing ``recipe`` and ``payload_digest``.
     """
     run_dir = home / "legacy-run"
     shard_dirs = [run_dir]
@@ -112,10 +127,34 @@ def build_legacy_home(home: Path, schema: str, layout: str) -> dict:
     for offset, block in enumerate(BLOCKS):
         for index in range(2):
             raw = _serialized(float(10 * offset + index))
-            stored = gzip.compress(raw, mtime=0)
-            digest = digest_bytes(stored)
             shard = shard_of(block)
-            if schema == "pre-chunking" and index == 1:
+            recipe = ""
+            if schema == "current" and index == 0:
+                # A chunked row: chunk digests address raw chunk bytes,
+                # each blob is a gzip frame, the row digest covers the
+                # joined raw payload, and the path names no file.
+                chunks = [raw[:len(raw) // 2], raw[len(raw) // 2:]]
+                for chunk in chunks:
+                    blob = (home / "objects" / digest_bytes(chunk)[:2]
+                            / digest_bytes(chunk))
+                    blob.parent.mkdir(parents=True, exist_ok=True)
+                    blob.write_bytes(_GZIP_FRAME
+                                     + gzip.compress(chunk, mtime=0))
+                recipe = ",".join(digest_bytes(chunk) for chunk in chunks)
+                rows_by_shard.setdefault(shard, []).append(
+                    (block, index, f"recipe:{len(chunks)}", len(raw),
+                     sum(len(c) for c in chunks), digest_bytes(raw),
+                     0.001, 0.001, 1_600_000_000.0 + index, "", recipe))
+                expected[(block, index)] = raw
+                continue
+            # Whole rows digest the stored bytes; ``current`` stores them
+            # unframed, as an uncompressed store wrote them.
+            stored = raw if schema == "current" else gzip.compress(
+                raw, mtime=0)
+            digest = digest_bytes(stored)
+            if (schema == "pre-chunking" or
+                    (schema == "current" and block == BLOCKS[0])) \
+                    and index == 1:
                 # A deduplicated row: the blob lives in the home's store.
                 path = home / "objects" / digest[:2] / digest
                 payload_digest = digest
@@ -127,7 +166,8 @@ def build_legacy_home(home: Path, schema: str, layout: str) -> dict:
             path.write_bytes(stored)
             rows_by_shard.setdefault(shard, []).append(
                 (block, index, str(path), len(raw), len(stored), digest,
-                 0.001, 0.001, 1_600_000_000.0 + index, payload_digest))
+                 0.001, 0.001, 1_600_000_000.0 + index, payload_digest,
+                 recipe))
             expected[(block, index)] = raw
     for shard, shard_dir in enumerate(shard_dirs):
         metadata = {"run_id": "legacy-run", "loop_blocks": list(BLOCKS)}
@@ -179,8 +219,10 @@ def test_old_schema_home_reopens_migrates_and_survives_gc(
                        for r in store.records()}
             assert set(records) == set(expected)
             for key, raw in expected.items():
-                stored = store.backend.read_payload(str(records[key].path))
-                assert decompress(stored) == raw, key
+                if not records[key].is_chunked():
+                    stored = store.backend.read_payload(
+                        str(records[key].path))
+                    assert decompress(stored) == raw, key
                 assert (serialize_checkpoint(store.get(*key)).data
                         == serialize_checkpoint(
                             deserialize_checkpoint(raw)).data), key

@@ -21,20 +21,17 @@ import time
 import numpy as np
 import pytest
 
-from faultutils import (InjectedCrash, assert_crash_consistent,
+from faultutils import (LAYOUTS, InjectedCrash, assert_crash_consistent,
                         assert_manifest_closed, assert_no_orphans,
-                        crash_calls)
+                        crash_calls, open_layout_store)
 from repro.exceptions import StorageError
-from repro.storage.backends import discard_memory_dir
-from repro.storage.checkpoint_store import CheckpointStore
 from repro.storage.lifecycle import (LifecycleManager, RetentionPolicy,
                                      collect_garbage, measure_storage,
                                      plan_retention, prune_store, retire_run)
-from repro.storage.objectstore import FileObjectStore, MemoryObjectStore
 from repro.storage.serializer import snapshot_value
 from repro.storage.spool import AsyncSpool
 
-BACKENDS = ["local", "memory", "sharded"]
+BACKENDS = LAYOUTS
 
 
 def make_snapshots(value: float = 1.0, size: int = 64):
@@ -43,7 +40,7 @@ def make_snapshots(value: float = 1.0, size: int = 64):
 
 
 def open_store(home, backend_name, run="run"):
-    return CheckpointStore(home / run, backend=backend_name, num_shards=3)
+    return open_layout_store(home / run, backend_name)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -53,10 +50,7 @@ def backend_name(request):
 
 @pytest.fixture()
 def home(tmp_path):
-    yield tmp_path
-    for run in ("run", "run-a", "run-b"):
-        discard_memory_dir(tmp_path / run)
-    MemoryObjectStore.discard_dir(tmp_path)
+    return tmp_path
 
 
 # --------------------------------------------------------------------------- #
@@ -160,6 +154,22 @@ class TestPruneAndGC:
         after = measure_storage(home)
         assert after.physical_objects == 2
         assert_crash_consistent(store, home)
+
+    def test_gc_mark_pass_writes_nothing_into_run_dirs(self, home,
+                                                        backend_name):
+        import shutil
+        store = open_store(home, backend_name)
+        store.save_source("train.py", "print('train')\n")
+        store.put("train", 0, make_snapshots())
+        store.close()
+        run_dir = home / "run"
+        shutil.rmtree(run_dir / "source")
+        collect_garbage(home, grace_seconds=0.0)
+        measure_storage(home)
+        created = {path.relative_to(run_dir).parts[-1]
+                   for path in run_dir.rglob("*")}
+        assert "source" not in created
+        assert "checkpoints" not in created
 
     def test_gc_keeps_blobs_referenced_by_other_runs(self, home,
                                                      backend_name):
@@ -369,14 +379,9 @@ class TestCrashMidGC:
         for index in range(3):
             store.put("train", index, make_snapshots(float(index) + 100.0))
         objects = store.backend.object_store()
-        # File stores unlink blob by blob (crash mid-sweep, after one
-        # deletion); the memory store deletes in one batch call (crash at
-        # the sweep boundary).
-        if isinstance(objects, FileObjectStore):
-            delete_method, on_call = "_delete_blob", 2
-        else:
-            delete_method, on_call = "delete", 1
-        with crash_calls(objects, delete_method, on_call=on_call):
+        # The store unlinks blob by blob: crash mid-sweep, after one
+        # deletion.
+        with crash_calls(objects, "_delete_blob", on_call=2):
             with pytest.raises(InjectedCrash):
                 collect_garbage(home)
         # "Reboot": a fresh store over the same layout recovers fully.

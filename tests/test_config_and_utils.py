@@ -20,7 +20,7 @@ class TestConfig:
         config = FlorConfig()
         assert config.epsilon == pytest.approx(1 / 15)
         assert config.adaptive_checkpointing
-        assert config.compress_checkpoints
+        assert config.codec == "gzip"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -33,12 +33,11 @@ class TestConfig:
     def test_validate_names_the_knob_and_its_choices(self):
         with pytest.raises(ConfigError, match=r"chunking must be one of"):
             FlorConfig(chunking="fixd")
-        with pytest.raises(ConfigError,
-                           match=r"storage_backend must be one of"):
-            FlorConfig(storage_backend="s3")
+        with pytest.raises(ConfigError, match=r"codec must be one of"):
+            FlorConfig(codec="zstd")
 
     def test_validate_rejects_non_positive_counts(self):
-        for knob in ("storage_shards", "spool_workers", "spool_queue_size",
+        for knob in ("spool_workers", "spool_queue_size",
                      "manifest_batch_size", "query_workers"):
             with pytest.raises(ConfigError, match=rf"{knob} must be"):
                 FlorConfig(**{knob: 0})
@@ -94,13 +93,12 @@ def test_knob_census():
     assert sorted(field.name for field in dataclasses.fields(FlorConfig)) == [
         "adaptive_checkpointing",
         "chunk_nbytes", "chunking", "codec", "codec_level",
-        "compress_checkpoints", "dedup", "epsilon",
+        "dedup", "epsilon",
         "gc_interval", "home", "manifest_batch_size", "query_memoize",
         "query_workers", "retention_policy", "scaling_factor",
         "service_drain_seconds", "service_queue_size", "service_workers",
-        "spool_queue_size", "spool_workers", "storage_backend",
-        "storage_shards", "strict_analysis", "strict_consistency",
-        "telemetry", "telemetry_buffer",
+        "spool_queue_size", "spool_workers", "strict_analysis",
+        "strict_consistency", "telemetry", "telemetry_buffer",
     ]
 
 
@@ -125,21 +123,22 @@ def test_record_export_census():
 def test_storage_export_census():
     """Every name ``repro.storage`` exports, so adding or removing one shows.
 
-    One concrete ``StorageBackend`` serves every layout; the per-layout
-    backend classes are gone and must not come back as exports.
+    One concrete ``StorageBackend`` over one ``FileObjectStore`` serves
+    every layout; the layout names, the backend resolver and the
+    object-store interface are gone and must not come back as exports.
     """
     import repro.storage
     assert sorted(repro.storage.__all__) == [
-        "AsyncSpool", "AsyncSpoolStats", "BACKEND_NAMES", "CheckpointRecord",
+        "AsyncSpool", "AsyncSpoolStats", "CheckpointRecord",
         "CheckpointStore", "CompressionResult", "FileObjectStore",
         "GCReport", "GiB", "INSTANCE_PRICES", "InstanceType",
-        "LifecycleManager", "MemoryObjectStore", "ObjectStoreStats",
-        "PayloadObjectStore", "PruneReport", "RetentionPolicy",
+        "LifecycleManager", "ObjectStoreStats", "PruneReport",
+        "RetentionPolicy",
         "S3_PRICE_PER_GB_MONTH", "SerializedCheckpoint", "StorageBackend",
         "StorageStats", "ValueSnapshot", "collect_garbage", "compress",
         "compression_ratio", "compute_cost", "decompress",
         "deserialize_checkpoint", "gb", "measure_storage", "plan_retention",
-        "prune_store", "resolve_backend", "restore_value", "retire_run",
+        "prune_store", "restore_value", "retire_run",
         "serialize_checkpoint", "snapshot_value", "storage_cost_per_month",
     ]
     for name in repro.storage.__all__:

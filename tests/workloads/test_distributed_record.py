@@ -3,9 +3,9 @@
 The top half covers the workload surface (script builder, worker identity,
 the merged :class:`JobGroup` catalog view).  The bottom half is the
 multi-process concurrency battery the shared-home storage hardening is
-proven by: K real recorder processes write into one home — on the local
-and sharded backends as genuinely concurrent OS processes, on the
-process-local memory backend sequentially — and afterwards the store must
+proven by: K real recorder processes write into one home — in the local
+layout and into run directories started in the sharded layout older
+versions wrote — and afterwards the store must
 show **no lost manifests** (every worker's rows readable and
 digest-verified), **no orphan blobs** (one GC pass leaves exactly the
 referenced set) and **exact refcounts** (derived counts match a manifest
@@ -26,7 +26,15 @@ from repro.workloads import (build_distributed_training_script, record_worker,
 
 from faultutils import (assert_manifest_closed, assert_no_orphans,
                         assert_refcounts_exact, kill_process,
-                        start_recorder_process, wait_for_file)
+                        make_sharded_run_dir, start_recorder_process,
+                        wait_for_file)
+
+
+def _start_layout(config, job_id: str, world_size: int, layout: str) -> None:
+    """Start every worker run of ``job_id`` in ``layout`` before recording."""
+    if layout == "sharded":
+        for rank in range(world_size):
+            make_sharded_run_dir(config.run_dir(worker_run_id(job_id, rank)))
 
 
 class TestScriptBuilder:
@@ -156,10 +164,13 @@ def _assert_shared_home_consistent(config, run_ids, expected_iterations=None,
 
 @pytest.mark.multiproc
 @pytest.mark.parametrize("backend", ["local", "sharded"])
-def test_concurrent_worker_processes_share_one_home(tmp_path, backend):
+def test_concurrent_worker_processes_share_one_home(tmp_path, backend,
+                                                   monkeypatch):
     """K=4 real recorder processes, one home: nothing lost, nothing orphaned."""
-    config = repro.FlorConfig(home=tmp_path / "home",
-                              storage_backend=backend)
+    config = repro.FlorConfig(home=tmp_path / "home")
+    monkeypatch.setattr("repro.workloads.distributed.new_run_id",
+                        lambda name: "ddpjob")
+    _start_layout(config, "ddpjob", 4, backend)
     result = run_distributed_record("cifr", world_size=4, epochs=2,
                                     config=config)
     assert result.succeeded, [w.error for w in result.workers]
@@ -170,27 +181,15 @@ def test_concurrent_worker_processes_share_one_home(tmp_path, backend):
     assert group.complete and group.world_size == 4
 
 
-def test_memory_backend_records_job_sequentially(tmp_path):
-    """The process-local memory backend still produces a consistent job —
-    recorded in-process, since its store cannot span real processes."""
-    config = repro.FlorConfig(home=tmp_path / "home",
-                              storage_backend="memory")
-    result = run_distributed_record("cifr", world_size=3, epochs=2,
-                                    config=config)
-    assert result.succeeded, [w.error for w in result.workers]
-    _assert_shared_home_consistent(config, result.run_ids,
-                                   expected_iterations=2)
-
-
 @pytest.mark.multiproc
 @pytest.mark.parametrize("backend", ["local", "sharded"])
 def test_worker_killed_mid_record_leaves_home_consistent(tmp_path, backend):
     """SIGKILL one of K=4 workers mid-record: survivors keep their runs,
     the victim's partial manifest stays closed, and one GC sweep restores
     the exact referenced set with exact refcounts."""
-    config = repro.FlorConfig(home=tmp_path / "home",
-                              storage_backend=backend)
+    config = repro.FlorConfig(home=tmp_path / "home")
     job_id, victim_rank = "killjob", 3
+    _start_layout(config, job_id, 4, backend)
     victim = start_recorder_process(job_id, victim_rank, 4, config=config,
                                     epochs=400)
     survivors = [start_recorder_process(job_id, rank, 4, config=config,
