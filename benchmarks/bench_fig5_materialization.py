@@ -80,7 +80,7 @@ def _fork(snapshots, target: Path) -> float:
 
 def _spool(snapshots, target: Path) -> float:
     """The product path: the bounded async spool's submit."""
-    spool = create_materializer("spool", CheckpointStore(target, codec="raw"))
+    spool = create_materializer("spool", CheckpointStore(target))
     blocked, _ = spool.submit("fig5", 0, snapshots)
     spool.close()
     assert not spool.stats.errors, spool.stats.errors

@@ -191,8 +191,9 @@ def storage_stats(config: FlorConfig | None = None) -> StorageStats:
     """Logical vs physical storage footprint of the Flor home.
 
     ``logical_nbytes`` is what every manifest row claims to store;
-    ``physical_nbytes`` is what the deduplicated object store actually
-    holds; ``dedup_ratio`` is their quotient.
+    ``physical_nbytes`` is what the home actually holds on disk (the
+    deduplicated object store plus any legacy per-execution files older
+    versions wrote); ``dedup_ratio`` is their quotient.
     """
     config = config or get_config()
     return measure_storage(config.home)

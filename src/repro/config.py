@@ -3,9 +3,16 @@
 The paper exposes a single meaningful knob to the user — the record overhead
 tolerance ``epsilon`` (Section 5.3, Eq. 1) — and fixes a handful of internal
 constants (the restore/materialize scaling factor ``c`` and so on).  This
-module keeps all of them — plus the storage and async-spool knobs this
-reproduction adds on the road to multi-run scale — in one dataclass so
-sessions, simulators and benchmarks share a single source of truth.
+module keeps all of them — plus the spool, query, service and telemetry
+knobs this reproduction adds on the road to multi-run scale — in one
+dataclass so sessions, simulators and benchmarks share a single source of
+truth.
+
+Storage has one knob with a measured trade-off, ``chunking`` (whole
+payloads or fixed-size delta chunks, with ``chunk_nbytes``); where a
+checkpoint goes (the home's content-addressed object store) and how it is
+encoded (gzip, or raw framing for incompressible bytes) are the store's
+choice, not the caller's.
 """
 
 from __future__ import annotations
@@ -99,35 +106,24 @@ class FlorConfig:
         When True (the default), values computed by query-driven replay are
         written back through the run's storage backend, so repeated and
         overlapping queries are served from storage instead of recompute.
-    dedup:
-        Content-address checkpoint payloads (the default): one physical
-        blob per payload digest in the home-shared object store, so
-        identical checkpoints across executions and across runs cost one
-        copy.  ``False`` keeps the legacy one-file-per-execution layout.
-        Reads follow the manifest's recorded locations, so either setting
-        replays runs recorded under the other.
     chunking:
-        Delta checkpoints: split each serialized payload into
-        content-addressed chunks and store only chunks whose digest is
-        new, so consecutive epochs pay for what changed.  ``"fixed"``
-        (the default) cuts ``chunk_nbytes`` slices restarting at tensor
-        boundaries; ``"cdc"`` places content-defined boundaries with a
-        rolling hash (robust to insertions); ``"off"`` stores payloads
-        whole.  Requires ``dedup``; reads follow the manifest, so any
-        setting replays runs recorded under any other.
+        How a new checkpoint reaches the home's content-addressed object
+        store.  ``"fixed"`` (the default) splits each serialized payload
+        into ``chunk_nbytes`` slices, restarting at tensor boundaries, and
+        stores only the chunks whose digest is new, so consecutive epochs
+        pay for what changed.  ``"off"`` stores each payload whole as one
+        blob: no delta savings, but one read per restore.  On the
+        ``ckpt_heavy`` perfbench workload (medians of ten alternating
+        pairs, 2-core machine) ``"off"`` replays and queries faster
+        (``replay_partial_wall_s`` 0.101 vs 0.132 s, ``query_cold_wall_s``
+        0.216 vs 0.327 s, ``peak_rss_mb`` 163 vs 192) at 2.4x the bytes
+        (``stored_bytes_ratio`` 1.0 vs 0.417).
+        Either way payloads are gzip-framed unless a content sample finds
+        them incompressible, then raw-framed.  Reads follow the manifest,
+        so any setting replays runs recorded under the other, and runs
+        older versions wrote with other layouts and codecs.
     chunk_nbytes:
-        Target chunk size for delta checkpoints.  ``"cdc"`` chunks range
-        over ``[chunk_nbytes / 4, chunk_nbytes * 4]``.
-    codec:
-        Compression codec for checkpoint payloads: ``"gzip"`` (the
-        default, the paper's codec; Table 4 reports compressed sizes),
-        ``"zlib"``, ``"lzma"`` or ``"raw"`` (framing only, never
-        compress).  Every codec skips chunks / payloads a
-        cheap content sample finds incompressible (float tensor bytes)
-        and stores those raw-framed; compressible state still compresses.
-    codec_level:
-        Compression level passed to the codec (codec-specific default
-        when ``None``; clamped to the codec's valid range).
+        Target chunk size of ``chunking="fixed"``.
     gc_interval:
         Seconds between background lifecycle passes (retention prune +
         payload GC) on the async spool's workers during record.  ``None``
@@ -187,11 +183,8 @@ class FlorConfig:
     service_workers: int = DEFAULT_SERVICE_WORKERS
     service_queue_size: int = DEFAULT_SERVICE_QUEUE_SIZE
     service_drain_seconds: float = DEFAULT_SERVICE_DRAIN_SECONDS
-    dedup: bool = True
     chunking: str = "fixed"
     chunk_nbytes: int = DEFAULT_CHUNK_NBYTES
-    codec: str = "gzip"
-    codec_level: int | None = None
     gc_interval: float | None = None
     retention_policy: RetentionPolicy | None = None
     strict_analysis: bool = False
@@ -203,8 +196,12 @@ class FlorConfig:
     #: ``create_materializer``; drop it with that call.
     background_materialization: ClassVar[str] = "spool"
 
-    _VALID_CHUNKING = ("off", "fixed", "cdc")
-    _VALID_CODECS = ("raw", "gzip", "zlib", "lzma")
+    #: Not a knob: the store picks the encoding (gzip, or raw framing for
+    #: incompressible bytes).  Kept for perfbench's layer pass; drop with
+    #: that call.
+    codec_level: ClassVar[None] = None
+
+    _VALID_CHUNKING = ("off", "fixed")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "home", Path(self.home).expanduser())
@@ -239,15 +236,7 @@ class FlorConfig:
             raise ConfigError(
                 f"service_drain_seconds must be a positive number of "
                 f"seconds, got {self.service_drain_seconds!r}")
-        if not isinstance(self.dedup, bool):
-            raise ConfigError(f"dedup must be a bool, got {self.dedup!r}")
         self._check_choice("chunking", self.chunking, self._VALID_CHUNKING)
-        if self.codec == "auto":
-            raise ConfigError(
-                'codec="auto" was removed: every codec now samples each '
-                "chunk / payload and stores incompressible bytes raw-framed "
-                f"on its own; pick one of {self._VALID_CODECS}")
-        self._check_choice("codec", self.codec, self._VALID_CODECS)
         if (not isinstance(self.chunk_nbytes, int)
                 or isinstance(self.chunk_nbytes, bool)
                 or self.chunk_nbytes < 1024):
@@ -256,12 +245,6 @@ class FlorConfig:
             # nothing on tensor payloads.
             raise ConfigError(f"chunk_nbytes must be an integer >= 1024, "
                               f"got {self.chunk_nbytes!r}")
-        if self.codec_level is not None and (
-                not isinstance(self.codec_level, int)
-                or isinstance(self.codec_level, bool)
-                or not 0 <= self.codec_level <= 9):
-            raise ConfigError(f"codec_level must be an integer in [0, 9] or "
-                              f"None, got {self.codec_level!r}")
         if not isinstance(self.strict_analysis, bool):
             raise ConfigError(f"strict_analysis must be a bool, "
                               f"got {self.strict_analysis!r}")

@@ -212,8 +212,8 @@ def _digest_signatures(entry: RunEntry, config: FlorConfig
 
     Only loop-block rows at aligned iterations participate, and only when
     every one of them carries a content address — the payload digest for
-    whole dedup-recorded rows, or the raw-payload digest for chunked
-    (delta) rows, which is codec-independent by construction.  An
+    whole rows in the object store, or the raw-payload digest for chunked
+    (delta) rows, which is frame-independent by construction.  An
     iteration missing any digest yields no signature and is skipped by
     the comparison rather than treated as equal or different.
     """

@@ -130,12 +130,20 @@ def _make_span(start: int, stop: int, costs: IterationCosts) -> ReplaySpan:
 
 def split_span(span: ReplaySpan, aligned: Sequence[int],
                costs: IterationCosts, parts: int = 2) -> list[ReplaySpan]:
-    """Split one span at aligned boundaries into ~cost-equal parts.
+    """Split one span at aligned boundaries into ``parts`` balanced pieces.
 
     Used to widen parallelism when a query yields fewer spans than worker
     processes.  Cuts land only on aligned starts (``checkpoint + 1``), so
     every part restores exactly; a span crossing no aligned checkpoint is
     unsplittable and comes back unchanged.
+
+    Cut ``k`` of the ``parts - 1`` goes to the aligned start whose running
+    compute (from ``span.start``) is nearest ``k / parts`` of the span's
+    compute, taken in increasing order and leaving room for the cuts still
+    to place.  So a span crossing at least ``parts - 1`` aligned starts
+    always splits into ``parts`` pieces, and one crossing fewer splits at
+    each of them.  Restore charges stay out of the shares: every piece but
+    the first pays one, wherever the cuts land.
     """
     if parts <= 1:
         return [span]
@@ -143,17 +151,26 @@ def split_span(span: ReplaySpan, aligned: Sequence[int],
                   if span.start < index + 1 < span.stop]
     if not cut_points:
         return [span]
-    target = span.estimated_seconds / parts
-    pieces: list[ReplaySpan] = []
-    begin = span.start
+    running: list[float] = []
+    total = 0.0
+    previous = span.start
     for cut in cut_points:
-        if len(pieces) == parts - 1:
-            break
-        if costs.span_compute_seconds(begin, cut) >= target:
-            pieces.append(_make_span(begin, cut, costs))
-            begin = cut
-    pieces.append(_make_span(begin, span.stop, costs))
-    return pieces if len(pieces) > 1 else [span]
+        total += costs.span_compute_seconds(previous, cut)
+        running.append(total)
+        previous = cut
+    total += costs.span_compute_seconds(previous, span.stop)
+    cuts = min(parts - 1, len(cut_points))
+    chosen: list[int] = []
+    low = 0
+    for k in range(1, cuts + 1):
+        share = total * k / parts
+        best = min(range(low, len(cut_points) - (cuts - k)),
+                   key=lambda i: abs(running[i] - share))
+        chosen.append(cut_points[best])
+        low = best + 1
+    bounds = [span.start, *chosen, span.stop]
+    return [_make_span(begin, end, costs)
+            for begin, end in zip(bounds, bounds[1:])]
 
 
 def balance_spans(spans_by_run: list[tuple[str, ReplaySpan]],

@@ -7,15 +7,17 @@ owns everything that happens to them afterwards:
   aware, so models checkpoint as weight arrays, not object graphs) and
   pickles snapshot lists into payload bytes, timing the work for the
   adaptive controller.
-* :mod:`~repro.storage.compression` — gzip codec for payloads (Table 4
-  reports compressed sizes).
+* :mod:`~repro.storage.compression` — gzip framing for payloads (Table 4
+  reports compressed sizes), raw framing for incompressible ones, and the
+  decoders for every frame older versions wrote.
 * :mod:`~repro.storage.backends` — ``StorageBackend``: a run's SQLite
   ``Manifest`` (``manifest.sqlite``) over the home's object store.  The
   layout of an existing run is read from disk, so sharded runs written
   by older versions (one manifest per ``shards/shard-<k>/``) still open.
 * :mod:`~repro.storage.checkpoint_store` — the facade every other module
-  talks to: compression, digests, run metadata, source snapshots, and
-  backend routing behind a stable API.
+  talks to: the one write path (whole or fixed-size chunks into the
+  object store), digests, run metadata, source snapshots, and backend
+  routing behind a stable API.
 * :mod:`~repro.storage.spool` — :class:`AsyncSpool`, the bounded background
   materialization pipeline (worker pool, batched manifest commits,
   backpressure, a ``flush()`` barrier).
@@ -35,30 +37,24 @@ either direction of the lifecycle.
 """
 
 from .backends import StorageBackend
-from .checkpoint_store import CheckpointRecord, CheckpointStore
-from .compression import CompressionResult, compress, compression_ratio, decompress
-from .costs import (GiB, INSTANCE_PRICES, InstanceType, S3_PRICE_PER_GB_MONTH,
-                    compute_cost, gb, storage_cost_per_month)
+from .checkpoint_store import CheckpointStore
+from .compression import compress, decompress
+from .costs import INSTANCE_PRICES, InstanceType, storage_cost_per_month
 from .lifecycle import (GCReport, LifecycleManager, PruneReport,
                         RetentionPolicy, StorageStats, collect_garbage,
-                        measure_storage, plan_retention, prune_store,
-                        retire_run)
-from .objectstore import FileObjectStore, ObjectStoreStats
-from .serializer import (SerializedCheckpoint, ValueSnapshot,
-                         deserialize_checkpoint, restore_value,
-                         serialize_checkpoint, snapshot_value)
-from .spool import AsyncSpool, AsyncSpoolStats
+                        measure_storage, prune_store, retire_run)
+from .serializer import (ValueSnapshot, deserialize_checkpoint,
+                         restore_value, serialize_checkpoint, snapshot_value)
+from .spool import AsyncSpool
 
 __all__ = [
-    "CheckpointStore", "CheckpointRecord",
-    "StorageBackend", "FileObjectStore", "ObjectStoreStats",
+    "CheckpointStore", "StorageBackend",
     "RetentionPolicy", "PruneReport", "GCReport", "StorageStats",
-    "LifecycleManager", "plan_retention", "prune_store", "retire_run",
+    "LifecycleManager", "prune_store", "retire_run",
     "collect_garbage", "measure_storage",
-    "ValueSnapshot", "SerializedCheckpoint", "snapshot_value", "restore_value",
+    "ValueSnapshot", "snapshot_value", "restore_value",
     "serialize_checkpoint", "deserialize_checkpoint",
-    "compress", "decompress", "compression_ratio", "CompressionResult",
-    "S3_PRICE_PER_GB_MONTH", "INSTANCE_PRICES", "InstanceType",
-    "storage_cost_per_month", "compute_cost", "gb", "GiB",
-    "AsyncSpool", "AsyncSpoolStats",
+    "compress", "decompress",
+    "INSTANCE_PRICES", "InstanceType", "storage_cost_per_month",
+    "AsyncSpool",
 ]

@@ -14,8 +14,10 @@ directory, payloads in the home's object store.  The layout of an
 existing run is read from disk, never named by the caller:
 
 ``local``
-    One ``manifest.sqlite``; ``dedup=False`` runs and pre-dedup homes
-    also keep legacy per-execution payloads under ``checkpoints/``.
+    One ``manifest.sqlite``; runs older versions wrote without dedup also
+    keep legacy per-execution payloads under ``checkpoints/``, which are
+    read, deleted with their pruned rows and counted in storage stats,
+    but never written.
 ``sharded`` (legacy)
     Runs written by older versions: a ``shards.json`` root manifest
     plus ``num_shards`` local-style subtrees ``shards/shard-<k>/``, rows
@@ -26,9 +28,9 @@ existing run is read from disk, never named by the caller:
 
 The durability contract every layout honours: a payload is written
 *before* its manifest row is committed, so the manifest never references a
-missing payload.  With dedup (the default) payloads go to the object store
-shared by every run under the home (:mod:`repro.storage.objectstore`),
-with reference counts *derived* from the manifest rows.
+missing payload.  New payloads go to the object store shared by every run
+under the home (:mod:`repro.storage.objectstore`), with reference counts
+*derived* from the manifest rows.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from ..exceptions import StorageError
-from ..utils.hashing import digest_bytes, stable_hash
+from ..utils.hashing import stable_hash
 from ..utils.timing import monotonic
 from .objectstore import FileObjectStore, default_objects_dir
 
@@ -74,8 +76,8 @@ class CheckpointRecord:
     created_at: float
     #: Content address of the stored payload when it lives whole in the
     #: shared object store; empty for legacy per-execution payload files
-    #: (pre-dedup runs and ``dedup=False`` stores), which GC leaves
-    #: untouched, and for chunked rows (whose blobs the recipe names).
+    #: (which older versions wrote, prune deletes and GC leaves
+    #: untouched) and for chunked rows (whose blobs the recipe names).
     payload_digest: str = ""
     #: Delta checkpoints: comma-joined ordered chunk digests when the
     #: payload is stored as content-addressed chunks.  Empty for whole
@@ -147,12 +149,6 @@ def _row_to_record(row) -> CheckpointRecord:
         raw_nbytes=row[3], stored_nbytes=row[4], digest=row[5],
         serialize_seconds=row[6], write_seconds=row[7], created_at=row[8],
         payload_digest=row[9], recipe=row[10])
-
-
-def sanitize_block_id(block_id: str) -> str:
-    """Make a block id safe to use as a directory name."""
-    return "".join(ch if ch.isalnum() or ch in "-_." else "_"
-                   for ch in block_id)
 
 
 class Manifest:
@@ -446,13 +442,13 @@ class StorageBackend:
     run written today, ``num_shards`` for a legacy sharded run — and rows
     route by ``int(sha256(block_id)[:8], 16) % num_shards``, stable across
     processes (``hash()`` is randomized for strings).  Run metadata lives
-    in shard 0.  Payloads go to the home-shared object store when dedup is
-    on; with ``dedup=False`` they are legacy files under each shard's
-    ``checkpoints/`` tree.  ``dedup`` only decides where new payloads go:
-    reads follow the locations the manifest rows record.
+    in shard 0.  New payloads go to the home-shared object store; reads
+    follow the locations the manifest rows record, which for runs older
+    versions wrote may be legacy files under each shard's ``checkpoints/``
+    tree.
     """
 
-    def __init__(self, root_dir: str | Path, *, dedup: bool = True):
+    def __init__(self, root_dir: str | Path):
         self.root_dir = Path(root_dir)
         dirs = [self.root_dir]
         self.name = "local"
@@ -464,9 +460,8 @@ class StorageBackend:
         self.shards = [Manifest(d / "manifest.sqlite") for d in dirs]
         # One object store per home: an identical payload is one blob
         # whichever shard its row lands in, and across runs.
-        self._objects: FileObjectStore | None = (
-            FileObjectStore.for_dir(default_objects_dir(self.root_dir.parent))
-            if dedup else None)
+        self._objects = FileObjectStore.for_dir(
+            default_objects_dir(self.root_dir.parent))
         self.num_shards = len(self.shards)
         #: The manifest holding the run metadata table.
         self.metadata: Manifest = self.shards[0]
@@ -487,21 +482,6 @@ class StorageBackend:
         return groups
 
     # -- payload plane ----------------------------------------------------
-    def write_payload(self, block_id: str, execution_index: int,
-                      payload: bytes, *, digest: str | None = None) -> str:
-        """Durably store one payload and return its location string.
-
-        ``digest``, when the caller already hashed the payload for the
-        manifest, is reused as the content address instead of rehashing.
-        """
-        if self._objects is not None:
-            return self._objects.put(digest or digest_bytes(payload), payload)
-        path = (self._payload_dirs[self.shard_for(block_id)]
-                / sanitize_block_id(block_id) / f"{execution_index}.ckpt")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(payload)
-        return str(path)
-
     def read_payload(self, location: str) -> bytes:
         return Path(location).read_bytes()
 
@@ -521,8 +501,8 @@ class StorageBackend:
         except FileNotFoundError:
             return 0
 
-    def object_store(self) -> FileObjectStore | None:
-        """The content-addressed store payloads dedup into (None = legacy)."""
+    def object_store(self) -> FileObjectStore:
+        """The home's content-addressed store every new payload goes to."""
         return self._objects
 
     # -- manifest plane ---------------------------------------------------

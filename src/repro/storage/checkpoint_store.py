@@ -5,18 +5,23 @@ Layout per run::
     <home>/<run_id>/
         manifest.sqlite        -- SQLite index of every checkpoint + run metadata
         checkpoints/           -- legacy per-execution payload files
-            <block_id>/<execution_index>.ckpt     (``dedup=False`` only)
+            <block_id>/<execution_index>.ckpt     (older versions only)
         source/                -- snapshot of the user's code at record time
         record.log             -- the record-phase log (user metrics)
         replay-*.log           -- per-worker replay logs
     <home>/objects/<d[:2]>/<digest>  -- content-addressed payload blobs,
                                         shared by every run under the home
 
-With ``dedup`` on, payloads live in the home-shared object store.  Under
-the default configuration (``FlorConfig.chunking="fixed"``) a checkpoint
-is a *recipe* of content-addressed chunk blobs, of which only the new
-ones are written; with chunking off a whole payload is one blob named by
-its digest.  Runs written by older versions in the sharded layout
+Every new checkpoint goes to the home-shared object store.  Under the
+default configuration (``FlorConfig.chunking="fixed"``) a checkpoint is a
+*recipe* of content-addressed chunk blobs, of which only the new ones are
+written; with chunking off a whole payload is one blob named by its
+digest.  Either way each blob is gzip-framed unless the content probe
+frames it raw (:mod:`repro.storage.compression`).  That is the only write
+path.  The read path follows the manifest row and the frame id, so
+checkpoints older versions wrote — legacy ``checkpoints/`` files,
+content-defined chunk recipes, zlib- or lzma-framed blobs, bare gzip —
+still read, prune and collect.  Runs written in the sharded layout
 (``shards.json`` plus ``shards/shard-<k>/`` subtrees) still open: the
 backend reads the layout from disk.  See :mod:`repro.storage.backends`.
 
@@ -57,26 +62,22 @@ RECIPE_LOCATION_PREFIX = "recipe:"
 class CheckpointStore:
     """Backend-routed store of Loop End Checkpoints for a single run.
 
-    ``chunking`` turns on delta checkpoints: serialized payloads split
-    into content-addressed chunks (``"fixed"`` or ``"cdc"`` boundaries),
-    the manifest row records the ordered chunk-digest *recipe*, and only
-    chunks whose digest is new reach the object store — epoch N+1 pays
-    for what changed.  The read path follows whatever layout the manifest
-    row records, so any store setting replays any run.
+    ``chunking="fixed"`` turns on delta checkpoints: serialized payloads
+    split into content-addressed chunks, the manifest row records the
+    ordered chunk-digest *recipe*, and only chunks whose digest is new
+    reach the object store — epoch N+1 pays for what changed.
+    ``"off"`` stores each payload whole.  The read path follows whatever
+    layout the manifest row records, so any store setting replays any run.
     """
 
-    def __init__(self, run_dir: str | Path, *, dedup: bool = True,
-                 chunking: str = "off",
-                 chunk_nbytes: int = DEFAULT_CHUNK_NBYTES,
-                 codec: str = "gzip", codec_level: int | None = None):
+    def __init__(self, run_dir: str | Path, *, chunking: str = "off",
+                 chunk_nbytes: int = DEFAULT_CHUNK_NBYTES):
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.source_dir = self.run_dir / "source"
         self.chunking = chunking
         self.chunk_nbytes = chunk_nbytes
-        self.codec = codec
-        self.codec_level = codec_level
-        self.backend = StorageBackend(self.run_dir, dedup=dedup)
+        self.backend = StorageBackend(self.run_dir)
         # ``digest -> raw bytes`` of the last chunked ``get``'s verified
         # chunks: at most one checkpoint, replaced (never grown) per read.
         self._restored_chunks: dict[str, bytes] = {}
@@ -90,9 +91,8 @@ class CheckpointStore:
         stores through it, so a new storage knob propagates everywhere at
         once.
         """
-        return cls(run_dir, dedup=config.dedup, chunking=config.chunking,
-                   chunk_nbytes=config.chunk_nbytes,
-                   codec=config.codec, codec_level=config.codec_level)
+        return cls(run_dir, chunking=config.chunking,
+                   chunk_nbytes=config.chunk_nbytes)
 
     # ------------------------------------------------------------------ #
     # Run metadata
@@ -171,18 +171,14 @@ class CheckpointStore:
         self.backend.index_many([record])
         return record
 
-    def chunking_active(self) -> bool:
-        """Whether new payloads of this store are written as delta chunks."""
-        return (self.chunking != "off"
-                and self.backend.object_store() is not None)
-
     def resolve_codec(self, nbytes: int = 0) -> str:
         """The codec this store asks :func:`compression.compress` for.
 
-        The same for every payload size; whether a given chunk or payload
-        is worth running it on is ``compress``'s content probe's call.
+        Always ``"gzip"``; whether a given chunk or payload is worth
+        running it on is ``compress``'s content probe's call.  Kept for
+        perfbench's layer pass; drop with that call.
         """
-        return self.codec
+        return "gzip"
 
     def write_payload(self, block_id: str, execution_index: int,
                       serialized: SerializedCheckpoint) -> CheckpointRecord:
@@ -192,10 +188,10 @@ class CheckpointStore:
         batched manifest commits; the returned record must be passed to
         :meth:`index_records` to become visible.  Payload-before-manifest
         ordering is what keeps a crash mid-spool recoverable.  Routes to
-        the chunked (delta) path when chunking is on and the backend has
-        an object store; otherwise the payload is stored whole.
+        the chunked (delta) path when chunking is on; otherwise the
+        payload is stored whole.
         """
-        if self.chunking_active():
+        if self.chunking != "off":
             return self._write_chunked(block_id, execution_index, serialized)
         encoded = self.encode_whole(serialized.data)
         return self.write_encoded(block_id, execution_index, encoded,
@@ -205,8 +201,7 @@ class CheckpointStore:
     def encode_whole(self, payload: bytes) -> bytes:
         """The stored form of a whole (non-chunked) payload."""
         with get_tracer().span("storage.encode", nbytes=len(payload)) as span:
-            result = compression.compress(payload, level=self.codec_level,
-                                          codec=self.codec)
+            result = compression.compress(payload)
             span.set(codec=result.codec)
         get_metrics().inc(f"storage.codec.{result.codec}")
         return result.data
@@ -217,14 +212,13 @@ class CheckpointStore:
         """Write an already-encoded whole payload (no manifest commit)."""
         stored_nbytes = len(encoded)
         # One hash serves both planes: the manifest's integrity digest and
-        # (when the backend dedups) the payload's content address.
+        # the payload's content address.
         digest = digest_bytes(encoded)
         start = monotonic()
         with get_tracer().span("storage.put", block_id=block_id,
                                execution_index=execution_index,
                                nbytes=stored_nbytes):
-            location = self.backend.write_payload(block_id, execution_index,
-                                                  encoded, digest=digest)
+            location = self.backend.object_store().put(digest, encoded)
         write_seconds = monotonic() - start
         get_metrics().inc("storage.bytes_stored", stored_nbytes)
 
@@ -238,8 +232,7 @@ class CheckpointStore:
             serialize_seconds=serialize_seconds,
             write_seconds=write_seconds,
             created_at=time.time(),
-            payload_digest=(digest if self.backend.object_store() is not None
-                            else ""),
+            payload_digest=digest,
         )
 
     def _write_chunked(self, block_id: str, execution_index: int,
@@ -247,19 +240,18 @@ class CheckpointStore:
         """The delta write path: store only chunks whose digest is new.
 
         Chunk digests are computed over the RAW chunk bytes (before the
-        codec), so a chunk dedups no matter which codec — or codec level —
-        compressed its first occurrence, and reassembly can verify every
-        chunk after decompressing it.  Blobs are written before the
-        manifest row referencing them exists (payload-before-manifest),
-        exactly like the whole-payload path.
+        codec), so a chunk dedups no matter how its first occurrence was
+        framed — by this version or an older one — and reassembly can
+        verify every chunk after decompressing it.  Blobs are written
+        before the manifest row referencing them exists
+        (payload-before-manifest), exactly like the whole-payload path.
         """
         objects = self.backend.object_store()
         payload = serialized.data
         digest = digest_bytes(payload)
         start = monotonic()
         span = get_tracer().span("storage.chunk", block_id=block_id,
-                                 execution_index=execution_index,
-                                 codec=self.codec)
+                                 execution_index=execution_index)
         recipe: list[str] = []
         stored_nbytes = 0
         reused_chunks = 0
@@ -276,15 +268,13 @@ class CheckpointStore:
                 recipe.append(chunk_digest)
                 blob_nbytes = objects.touch(chunk_digest)
                 if blob_nbytes is None:
-                    # Chunk blobs are ALWAYS framed (``codec="raw"`` frames
-                    # without compressing): reassembly decodes by frame id,
-                    # so chunk content can never be mistaken for a codec
+                    # Chunk blobs are ALWAYS framed (raw frames without
+                    # compressing): reassembly decodes by frame id, so
+                    # chunk content can never be mistaken for a codec
                     # magic.
-                    result = compression.compress(view,
-                                                  level=self.codec_level,
-                                                  codec=self.codec)
+                    result = compression.compress(view)
                     framed[result.codec] += 1
-                    if result.codec != self.codec:
+                    if result.codec == "raw":
                         bypassed_nbytes += result.raw_nbytes
                     compressed_out += result.compressed_nbytes
                     objects.put(chunk_digest, result.data)
@@ -334,8 +324,9 @@ class CheckpointStore:
 
         Follows whatever layout the manifest row records — chunked rows
         reassemble from their recipe, whole rows read one location — so a
-        store opened with any chunking/codec setting replays runs
-        recorded under any other (including legacy recipe-less runs).
+        store opened with either chunking setting replays runs
+        recorded under any other (including legacy recipe-less runs and
+        the layouts and codecs older versions wrote).
 
         A chunked read costs what changed since this store's previous
         chunked read: chunks that read verified are reused by digest,
@@ -375,10 +366,6 @@ class CheckpointStore:
         """
         objects = self.backend.object_store()
         where = f"{record.block_id}[{record.execution_index}]"
-        if objects is None:
-            raise SerializationError(
-                f"checkpoint {where} is chunked but the backend has no "
-                "object store (recorded with dedup, opened without?)")
         reuse = reuse or {}
         digests = record.recipe_digests()
         chunks: dict[str, bytes] = {}

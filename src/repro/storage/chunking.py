@@ -8,33 +8,21 @@ storing only the chunks whose digest is new turns that byte-level overlap
 into storage savings — the sub-object granularity lever the LSM/survey
 storage literature applies to write amplification.
 
-Two chunkers ship behind ``FlorConfig.chunking``:
+``FlorConfig.chunking`` picks between two layouts: ``"fixed"`` splits
+every segment into ``chunk_nbytes`` slices — O(1) planning, and because the
+serializer restarts segments at tensor boundaries
+(:func:`~repro.storage.serializer.payload_segments`), an unchanged tensor
+produces byte-identical chunks across epochs even when its neighbours
+changed length — and ``"off"`` keeps the payload as one chunk.  Runs of
+tiny segments (pickle heads, scalar optimizer state) coalesce, so a
+checkpoint never shatters into confetti-sized blobs.
 
-``fixed``
-    Split every segment into ``chunk_nbytes`` slices.  O(1) planning, and
-    because the serializer restarts segments at tensor boundaries
-    (:func:`~repro.storage.serializer.payload_segments`), an unchanged
-    tensor produces byte-identical chunks across epochs even when its
-    neighbours changed length.
-``cdc``
-    Content-defined chunking: boundaries where a windowed rolling hash of
-    the content hits a target pattern, so an insertion or deletion only
-    disturbs the chunks around it instead of shifting every boundary after
-    it.  The rolling hash is a gear-table windowed sum, vectorized with a
-    numpy prefix sum — O(n) with no per-byte Python loop.  Chunk sizes are
-    bounded in ``[chunk_nbytes // 4, chunk_nbytes * 4]`` with forced cuts
-    at the maximum.
-
-Both restart at segment boundaries, and both coalesce runs of tiny
-segments (pickle heads, scalar optimizer state) so a checkpoint never
-shatters into confetti-sized blobs.
+Older versions also cut content-defined (``"cdc"``) chunks.  Their recipes
+still read: a recipe is a list of chunk digests whatever cut them, so the
+read path needs no chunker.
 """
 
 from __future__ import annotations
-
-import hashlib
-
-import numpy as np
 
 from ..exceptions import StorageError
 
@@ -42,69 +30,15 @@ __all__ = ["CHUNKING_MODES", "DEFAULT_CHUNK_NBYTES", "chunk_payload",
            "chunk_spans"]
 
 #: Chunking modes accepted by the configuration layer.
-CHUNKING_MODES = ("off", "fixed", "cdc")
+CHUNKING_MODES = ("off", "fixed")
 
 #: Default target chunk size (256 KiB): large enough that recipe rows and
 #: per-chunk hashing stay cheap, small enough that one changed tensor slice
 #: does not re-store a whole checkpoint.
 DEFAULT_CHUNK_NBYTES = 1 << 18
 
-#: Bytes in the rolling-hash window.
-_WINDOW = 48
-
-#: CDC size bounds relative to the target chunk size.
-_MIN_DIVISOR = 4
-_MAX_FACTOR = 4
-
-
-def _build_gear_table() -> np.ndarray:
-    """256 pseudo-random 64-bit gears, derived deterministically.
-
-    sha256 rather than a seeded RNG: the table is on-disk format (chunk
-    boundaries must reproduce across interpreter and numpy versions), and
-    hashlib's output is stable by specification.
-    """
-    gears = np.empty(256, dtype=np.uint64)
-    for value in range(256):
-        digest = hashlib.sha256(b"flor-gear" + bytes([value])).digest()
-        gears[value] = int.from_bytes(digest[:8], "little")
-    return gears
-
-
-_GEAR = _build_gear_table()
-
-
-def _mask_for(target: int) -> np.uint64:
-    """Boundary mask giving ~one candidate per ``target`` bytes."""
-    bits = max(1, int(target).bit_length() - 1)
-    return np.uint64((1 << bits) - 1)
-
-
-def _cdc_cuts(view: memoryview, target: int) -> list[int]:
-    """Cut offsets (exclusive chunk ends) within one segment."""
-    n = len(view)
-    min_size = max(1, target // _MIN_DIVISOR)
-    max_size = target * _MAX_FACTOR
-    if n <= max_size:
-        return [n]
-    gears = _GEAR[np.frombuffer(view, dtype=np.uint8)]
-    # Windowed gear sum via prefix sums (uint64 wraps modulo 2**64, which
-    # is exactly the arithmetic the rolling hash wants).
-    prefix = np.cumsum(gears, dtype=np.uint64)
-    windowed = prefix[_WINDOW:] - prefix[:-_WINDOW]
-    mask = _mask_for(target)
-    # Candidate cut after byte i  <=>  window ending at i matches the mask.
-    candidates = np.flatnonzero((windowed & mask) == mask) + _WINDOW + 1
-    cuts: list[int] = []
-    start = 0
-    while n - start > max_size:
-        lo = int(np.searchsorted(candidates, start + min_size, side="left"))
-        hi = int(np.searchsorted(candidates, start + max_size, side="right"))
-        cut = int(candidates[lo]) if lo < hi else start + max_size
-        cuts.append(cut)
-        start = cut
-    cuts.append(n)
-    return cuts
+#: Segments under ``chunk_nbytes // _COALESCE_DIVISOR`` bytes coalesce.
+_COALESCE_DIVISOR = 4
 
 
 def _coalesce_segments(segments: list[tuple[int, int]],
@@ -156,24 +90,18 @@ def chunk_spans(data, *, mode: str = "fixed",
     if n == 0:
         return []
     if mode == "off":
+        # The store writes an unchunked payload whole without planning
+        # spans; ``mode="off"`` is kept for perfbench's layer pass; drop
+        # with that call.
         return [(0, n)]
     if segments is None:
         segments = [(0, n)]
     segments = _coalesce_segments(
         [seg for seg in segments if seg[1] > 0],
-        max(1, chunk_nbytes // _MIN_DIVISOR))
-    spans: list[tuple[int, int]] = []
-    for offset, length in segments:
-        if mode == "fixed":
-            for start in range(0, length, chunk_nbytes):
-                spans.append((offset + start,
-                              min(chunk_nbytes, length - start)))
-        else:
-            start = 0
-            for cut in _cdc_cuts(view[offset:offset + length], chunk_nbytes):
-                spans.append((offset + start, cut - start))
-                start = cut
-    return spans
+        max(1, chunk_nbytes // _COALESCE_DIVISOR))
+    return [(offset + start, min(chunk_nbytes, length - start))
+            for offset, length in segments
+            for start in range(0, length, chunk_nbytes)]
 
 
 def chunk_payload(data, *, mode: str = "fixed",

@@ -1,23 +1,24 @@
-"""Pluggable compression codecs for checkpoint payloads.
+"""Checkpoint payload encoding: gzip, or raw framing when gzip cannot pay.
 
 Table 4 reports gzip-compressed checkpoint sizes; the store compresses
-payloads with the same codec family before they hit disk (and before the
+payloads with the same codec before they hit disk (and before the
 simulated S3 spool), so measured sizes here play the same role as in the
-paper.  Beyond gzip, the registry carries a no-op ``raw`` codec and the
-stdlib ``zlib``/``lzma`` alternatives.
+paper.
 
-Every compressed payload is *framed*: a 4-byte magic plus a one-byte codec
+Every encoded payload is *framed*: a 4-byte magic plus a one-byte codec
 id precede the codec's output, so :func:`decompress` dispatches by id
-instead of sniffing codec magics.  Pre-frame payloads (bare gzip from
-earlier runs) are still recognized by the gzip magic, and anything else
-passes through untouched — the store's legacy uncompressed path.
+instead of sniffing codec magics.  :func:`compress` writes two frames,
+``gzip`` (id 1) and ``raw`` (id 0, framing only).  Older versions could
+also write ``zlib`` (id 2) and ``lzma`` (id 3) frames; those, bare gzip
+from pre-frame runs (recognized by the gzip magic) and unframed payloads
+(passed through untouched) all still decode.
 
 :func:`compress` is content-aware: float tensor bytes are close to
 incompressible (gzip-6 saves ~7 % of float32 weights at ~28 MB/s), so a
-cheap sample decides per call whether the configured codec runs or the
-bytes are framed ``raw``.  The decision is a pure function of the bytes —
-no clock, no per-process state — because the whole-payload path
-content-addresses the *encoded* bytes.
+cheap sample decides per call whether gzip runs or the bytes are framed
+``raw``.  The decision is a pure function of the bytes — no clock, no
+per-process state — because the whole-payload path content-addresses the
+*encoded* bytes.
 """
 
 from __future__ import annotations
@@ -29,87 +30,34 @@ from dataclasses import dataclass
 
 from ..exceptions import StorageError
 
-__all__ = ["CompressionResult", "Codec", "CODEC_NAMES", "FRAME_MAGIC",
-           "get_codec", "codec_of", "compress", "decompress",
-           "compression_ratio"]
+__all__ = ["CompressionResult", "CODEC_IDS", "CODEC_NAMES", "FRAME_MAGIC",
+           "codec_of", "compress", "decompress"]
 
 #: Frame prefix of a codec-framed payload: magic + one codec-id byte.
 FRAME_MAGIC = b"FLC1"
 
+#: Frame id of every codec a stored payload may carry.  Ids are on-disk
+#: format: append, never renumber.
+CODEC_IDS = {"raw": 0, "gzip": 1, "zlib": 2, "lzma": 3}
+
+#: Codecs :func:`compress` writes; the others only decode, for older homes.
+CODEC_NAMES = ("raw", "gzip")
+
+_DECODERS = {0: lambda data: data, 1: gzip.decompress, 2: zlib.decompress,
+             3: lzma.decompress}
+_NAMES_BY_ID = {codec_id: name for name, codec_id in CODEC_IDS.items()}
+
+#: gzip level when the caller passes none.
+DEFAULT_GZIP_LEVEL = 6
+
 #: The content probe of :func:`compress`.  Inputs under the minimum always
-#: run the configured codec; larger ones are sampled in evenly spaced
-#: windows (8 KiB in all: ~3 % of a default 256 KiB chunk) and framed
-#: ``raw`` when zlib level 1 saves less than the minimum on the sample.
+#: run gzip; larger ones are sampled in evenly spaced windows (8 KiB in
+#: all: ~3 % of a default 256 KiB chunk) and framed ``raw`` when zlib
+#: level 1 saves less than the minimum on the sample.
 PROBE_MIN_NBYTES = 16 * 1024
 PROBE_WINDOWS = 8
 PROBE_WINDOW_NBYTES = 1024
 PROBE_MIN_SAVING = 0.10
-
-
-@dataclass(frozen=True)
-class Codec:
-    """One registered compression codec.
-
-    ``codec_id`` is the frame byte — part of the on-disk format, never
-    reused.  ``default_level`` feeds ``encode`` when the caller passes no
-    level; levels are clamped into the codec's valid range so one knob
-    (``FlorConfig.codec_level``) serves every codec.
-    """
-
-    name: str
-    codec_id: int
-    default_level: int
-
-    def encode(self, data: bytes, level: int | None = None) -> bytes:
-        level = self.default_level if level is None else max(0, min(9, level))
-        if self.name == "raw":
-            return data
-        if self.name == "gzip":
-            # ``mtime=0`` pins the gzip header timestamp: without it the
-            # compressed bytes of identical payloads differ run to run,
-            # which would defeat content-addressed dedup and make payload
-            # digests unstable across processes.
-            return gzip.compress(data, compresslevel=max(level, 1), mtime=0)
-        if self.name == "zlib":
-            return zlib.compress(data, level=level)
-        if self.name == "lzma":
-            return lzma.compress(data, preset=level)
-        raise StorageError(f"codec {self.name!r} has no encoder")
-
-    def decode(self, data: bytes) -> bytes:
-        if self.name == "raw":
-            return data
-        if self.name == "gzip":
-            return gzip.decompress(data)
-        if self.name == "zlib":
-            return zlib.decompress(data)
-        if self.name == "lzma":
-            return lzma.decompress(data)
-        raise StorageError(f"codec {self.name!r} has no decoder")
-
-
-#: The codec registry.  Ids are on-disk format; append, never renumber.
-_CODECS = (
-    Codec(name="raw", codec_id=0, default_level=0),
-    Codec(name="gzip", codec_id=1, default_level=6),
-    Codec(name="zlib", codec_id=2, default_level=6),
-    # lzma presets above 1 are far too slow for a record hot path.
-    Codec(name="lzma", codec_id=3, default_level=1),
-)
-_BY_NAME = {codec.name: codec for codec in _CODECS}
-_BY_ID = {codec.codec_id: codec for codec in _CODECS}
-
-#: Codec names accepted by the configuration layer.
-CODEC_NAMES = tuple(codec.name for codec in _CODECS)
-
-
-def get_codec(name: str) -> Codec:
-    """Look up a codec by registry name."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise StorageError(f"unknown codec {name!r}; known codecs: "
-                           f"{', '.join(CODEC_NAMES)}") from None
 
 
 def codec_of(data: bytes) -> str | None:
@@ -119,8 +67,7 @@ def codec_of(data: bytes) -> str | None:
     are not a recognized compressed format (legacy uncompressed payloads).
     """
     if data[:4] == FRAME_MAGIC and len(data) >= 5:
-        codec = _BY_ID.get(data[4])
-        return codec.name if codec is not None else None
+        return _NAMES_BY_ID.get(data[4])
     if data[:2] == b"\x1f\x8b":
         return "gzip"
     return None
@@ -131,7 +78,7 @@ class CompressionResult:
     """Outcome of compressing one payload.
 
     ``codec`` names the codec the frame carries — ``"raw"`` when the
-    content probe bypassed the requested one.
+    content probe bypassed gzip.
     """
 
     data: bytes
@@ -148,7 +95,7 @@ class CompressionResult:
 
 
 def _looks_incompressible(view: memoryview) -> bool:
-    """Whether a sample of ``view`` says a codec would not pay for itself."""
+    """Whether a sample of ``view`` says gzip would not pay for itself."""
     if len(view) < PROBE_MIN_NBYTES:
         return False
     stride = (len(view) - PROBE_WINDOW_NBYTES) // (PROBE_WINDOWS - 1)
@@ -160,29 +107,40 @@ def _looks_incompressible(view: memoryview) -> bool:
 
 def compress(data: bytes, level: int | None = None,
              codec: str = "gzip") -> CompressionResult:
-    """Frame ``data`` (any bytes-like), compressed with ``codec`` if it pays.
+    """Frame ``data`` (any bytes-like), gzip-compressed if it pays.
 
     The result's ``data`` is ``FRAME_MAGIC + codec_id + <codec output>``;
     ``compressed_nbytes`` counts the whole frame, since that is what hits
     disk.  ``raw`` frames without compressing — 5 bytes of overhead buying
     an unambiguous decode for payloads whose first bytes could collide
-    with a codec magic — and is also what any other codec falls back to
-    when the content probe finds the bytes incompressible.  Compressible
-    input, and anything under ``PROBE_MIN_NBYTES``, encodes exactly as the
-    codec alone would.
+    with a codec magic — and is what gzip falls back to when the content
+    probe finds the bytes incompressible.  Compressible input, and
+    anything under ``PROBE_MIN_NBYTES``, encodes exactly as gzip at
+    ``level`` (clamped to 1..9) alone would.  ``codec="raw"`` is kept for
+    perfbench's layer pass; drop with that call.
     """
-    entry = get_codec(codec)
+    if codec not in CODEC_NAMES:
+        raise StorageError(f"compress writes codecs {CODEC_NAMES}, "
+                           f"got {codec!r}")
     view = memoryview(data)
-    if entry.name != "raw" and _looks_incompressible(view):
-        entry = _BY_NAME["raw"]
-    framed = b"".join((FRAME_MAGIC, bytes((entry.codec_id,)),
-                       entry.encode(view, level)))
+    if codec == "gzip" and _looks_incompressible(view):
+        codec = "raw"
+    if codec == "gzip":
+        # ``mtime=0`` pins the gzip header timestamp: without it the
+        # compressed bytes of identical payloads differ run to run, which
+        # would defeat content addressing and make payload digests
+        # unstable across processes.
+        level = DEFAULT_GZIP_LEVEL if level is None else max(1, min(9, level))
+        body = gzip.compress(view, compresslevel=level, mtime=0)
+    else:
+        body = view
+    framed = b"".join((FRAME_MAGIC, bytes((CODEC_IDS[codec],)), body))
     return CompressionResult(data=framed, raw_nbytes=len(view),
-                             compressed_nbytes=len(framed), codec=entry.name)
+                             compressed_nbytes=len(framed), codec=codec)
 
 
 def decompress(data: bytes) -> bytes:
-    """Inverse of :func:`compress`.
+    """Inverse of :func:`compress`, and of every frame older versions wrote.
 
     Dispatches on the frame's codec id; falls back to the gzip magic for
     payloads from pre-frame runs, and passes anything else through
@@ -190,21 +148,16 @@ def decompress(data: bytes) -> bytes:
     ``memoryview`` over ``data`` past the frame head, not a copy.
     """
     if data[:4] == FRAME_MAGIC and len(data) >= 5:
-        codec = _BY_ID.get(data[4])
-        if codec is None:
+        decoder = _DECODERS.get(data[4])
+        if decoder is None:
             raise StorageError(
                 f"framed payload with unknown codec id {data[4]}")
         try:
-            return codec.decode(memoryview(data)[5:])
+            return decoder(memoryview(data)[5:])
         except Exception as exc:
             raise StorageError(
-                f"cannot decompress {codec.name} payload: {exc}") from exc
+                f"cannot decompress {_NAMES_BY_ID[data[4]]} payload: "
+                f"{exc}") from exc
     if data[:2] == b"\x1f\x8b":
         return gzip.decompress(data)
     return data
-
-
-def compression_ratio(data: bytes, level: int | None = None,
-                      codec: str = "gzip") -> float:
-    """Convenience: compression ratio achieved on ``data``."""
-    return compress(data, level=level, codec=codec).ratio

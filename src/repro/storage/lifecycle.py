@@ -189,7 +189,7 @@ class GCReport:
 
 @dataclass
 class StorageStats:
-    """What a Flor home costs: logical checkpoint bytes vs physical blobs."""
+    """What a Flor home costs: logical checkpoint bytes vs physical bytes."""
 
     home: str = ""
     runs: int = 0
@@ -198,18 +198,20 @@ class StorageStats:
     #: dedup (every reference paying full price).
     logical_nbytes: int = 0
     #: Bytes of legacy per-execution payload files (referenced by rows
-    #: with no ``payload_digest``); not deduplicated.
+    #: with no ``payload_digest`` or recipe), as the rows record them;
+    #: older versions wrote them, one per row, never shared.
     legacy_nbytes: int = 0
+    #: Blobs in the object store plus legacy payload files on disk.
     physical_objects: int = 0
+    #: On-disk bytes of those blobs and files.
     physical_nbytes: int = 0
 
     @property
     def dedup_ratio(self) -> float:
-        """Logical bytes per physical blob byte (1.0 = no sharing)."""
-        deduped_logical = self.logical_nbytes - self.legacy_nbytes
+        """Logical bytes per physical byte (1.0 = no sharing)."""
         if self.physical_nbytes <= 0:
             return 1.0
-        return deduped_logical / self.physical_nbytes
+        return self.logical_nbytes / self.physical_nbytes
 
     def to_dict(self) -> dict:
         return {"home": self.home, "runs": self.runs,
@@ -531,7 +533,12 @@ def _collect_garbage(home: Path, *, grace_seconds: float, dry_run: bool,
 
 
 def measure_storage(home: str | Path) -> StorageStats:
-    """Aggregate the home's manifest-plane and payload-plane footprint."""
+    """Aggregate the home's manifest-plane and payload-plane footprint.
+
+    Physical bytes are what the home holds on disk: every object-store
+    blob, plus every legacy per-execution file a manifest row points at
+    (a home that stores each checkpoint in full costs its full size).
+    """
     home = Path(home)
     stats = StorageStats(home=str(home))
     for backend in _home_backends(home):
@@ -541,12 +548,17 @@ def measure_storage(home: str | Path) -> StorageStats:
             stats.logical_nbytes += record.stored_nbytes
             if record.is_legacy_payload():
                 stats.legacy_nbytes += record.stored_nbytes
+                try:
+                    stats.physical_nbytes += record.path.stat().st_size
+                except FileNotFoundError:
+                    continue
+                stats.physical_objects += 1
         backend.close()
     objects = _home_object_store(home)
     if objects is not None:
         object_stats = objects.stats()
-        stats.physical_objects = object_stats.objects
-        stats.physical_nbytes = object_stats.total_nbytes
+        stats.physical_objects += object_stats.objects
+        stats.physical_nbytes += object_stats.total_nbytes
     return stats
 
 

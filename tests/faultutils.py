@@ -29,8 +29,11 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.storage.backends import CheckpointRecord
 from repro.storage.checkpoint_store import CheckpointStore
+from repro.storage.compression import compress
 from repro.storage.lifecycle import collect_garbage, referenced_digest_counts
+from repro.storage.serializer import serialize_checkpoint
 from repro.utils.hashing import digest_bytes
 
 __all__ = ["InjectedCrash", "FaultInjector", "crash_calls",
@@ -39,7 +42,7 @@ __all__ = ["InjectedCrash", "FaultInjector", "crash_calls",
            "start_recorder_process", "start_client_process",
            "wait_for_file", "kill_process", "LAYOUTS",
            "make_pre_dedup_run_dir", "make_sharded_run_dir",
-           "open_layout_store"]
+           "open_layout_store", "put_legacy"]
 
 #: Run layouts storage tests parametrize over: ``local`` is how every run
 #: is written; ``migrated`` is a run whose manifest an older version
@@ -102,6 +105,32 @@ def open_layout_store(run_dir: Path, layout: str, num_shards: int = 3,
     if layout == "migrated" and not (run_dir / "manifest.sqlite").exists():
         make_pre_dedup_run_dir(run_dir)
     return CheckpointStore(run_dir, **kwargs)
+
+
+def put_legacy(store: CheckpointStore, block_id: str, execution_index: int,
+               snapshots) -> CheckpointRecord:
+    """Write one checkpoint the way older versions' per-execution writer did.
+
+    The framed payload goes to ``checkpoints/<block>/<i>.ckpt`` under the
+    row's shard, the row carries no ``payload_digest``, and its digest
+    covers the stored bytes.  No current writer produces this layout;
+    reads, prune and GC must still handle it.
+    """
+    encoded = compress(serialize_checkpoint(snapshots).data).data
+    backend = store.backend
+    path = (backend.root_dir if backend.num_shards == 1 else
+            backend.root_dir / "shards"
+            / f"shard-{backend.shard_for(block_id):02d}")
+    path = path / "checkpoints" / block_id / f"{execution_index}.ckpt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(encoded)
+    record = CheckpointRecord(
+        block_id=block_id, execution_index=execution_index, path=path,
+        raw_nbytes=len(serialize_checkpoint(snapshots).data),
+        stored_nbytes=len(encoded), digest=digest_bytes(encoded),
+        serialize_seconds=0.001, write_seconds=0.001, created_at=time.time())
+    store.index_records([record])
+    return record
 
 
 class InjectedCrash(Exception):

@@ -99,6 +99,31 @@ class TestSplitSpan:
                          for index in piece.iterations())
         assert covered == list(range(20))
 
+    def test_compute_in_the_last_iteration_still_splits_in_two(self):
+        costs = costs_of(mean=0.0, restore=0.1, per={5: 10.0})
+        [span] = plan_spans(range(6), list(range(6)), costs)
+        pieces = split_span(span, list(range(6)), costs, parts=2)
+        assert [(p.start, p.stop) for p in pieces] == [(0, 5), (5, 6)]
+
+    def test_restore_heavy_span_splits_into_parts_pieces(self):
+        # Restore outweighs compute (a checkpointed block of microseconds
+        # behind a costly restore): the shares are of compute alone, so
+        # every one of the parts - 1 cuts lands.
+        costs = costs_of(mean=1e-6, restore=0.5)
+        aligned = list(range(12))
+        [span] = plan_spans(range(1, 12), aligned, costs)
+        assert span.restore_index == 0
+        pieces = split_span(span, aligned, costs, parts=6)
+        assert len(pieces) == 6
+        assert sorted(len(p) for p in pieces) == [1, 2, 2, 2, 2, 2]
+        assert all(p.restore_index == p.start - 1 for p in pieces)
+
+    def test_fewer_aligned_starts_than_cuts_splits_at_each(self):
+        [span] = plan_spans(range(12), list(range(12)), costs_of())
+        pieces = split_span(span, [3, 7], costs_of(), parts=6)
+        assert [(p.start, p.stop) for p in pieces] == [
+            (0, 4), (4, 8), (8, 12)]
+
 
 class TestBalanceSpans:
     def test_splits_heaviest_span_to_reach_target(self):
@@ -148,3 +173,25 @@ class TestPlanRun:
                         costs=costs_of(), replay_possible=True)
         assert plan.spans == []
         assert plan.count("logged") == 1
+
+
+def test_six_worker_fan_out_is_the_same_over_re_recordings(flor_config):
+    """One 12-iteration run, 30 recordings: the planned job count of a
+    6-worker query never varies.  Restore outweighs the checkpointed
+    block's compute here (the sleep sits outside the block), the regime
+    in which a restore-inclusive split target used to leave later spans
+    whole."""
+    from repro.query.api import prepare_query
+    from serviceutils import probe_for, record_run
+
+    probe = probe_for(iterations=12, iter_seconds=0.002)
+    counts = []
+    for _ in range(30):
+        run_id = record_run(flor_config, iterations=12, iter_seconds=0.002)
+        prepared = prepare_query(["state"], runs=run_id, source=probe,
+                                 workers=6, memoize=False)
+        try:
+            counts.append(len(prepared.balanced_jobs()))
+        finally:
+            prepared.close()
+    assert set(counts) == {6}, counts

@@ -36,7 +36,7 @@ DELETED_STRATEGIES = ["sequential", "thread", "ipc_queue", "fork",
 class TestStrategiesWriteDurableCheckpoints:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_submit_flush_then_read_back(self, tmp_path, strategy):
-        store = CheckpointStore(tmp_path / strategy, codec="raw")
+        store = CheckpointStore(tmp_path / strategy)
         materializer = create_materializer(strategy, store)
         try:
             main_thread_seconds, nbytes = materializer.submit(
@@ -51,7 +51,7 @@ class TestStrategiesWriteDurableCheckpoints:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_multiple_checkpoints(self, tmp_path, strategy):
-        store = CheckpointStore(tmp_path / strategy, codec="raw")
+        store = CheckpointStore(tmp_path / strategy)
         materializer = create_materializer(strategy, store)
         try:
             for index in range(4):
@@ -64,7 +64,7 @@ class TestStrategiesWriteDurableCheckpoints:
                                    np.full(1024, 3.0))
 
     def test_stats_accumulate(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", codec="raw")
+        store = CheckpointStore(tmp_path / "run")
         materializer = create_materializer("spool", store)
         materializer.submit("a", 0, make_snapshots())
         materializer.submit("a", 1, make_snapshots())
@@ -100,7 +100,7 @@ class TestStrategiesWriteDurableCheckpoints:
 
 class TestSequentialVsBackground:
     def test_thread_strategy_defers_work(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", codec="raw")
+        store = CheckpointStore(tmp_path / "run")
         materializer = create_materializer("spool", store, batch_size=1000)
         materializer.submit("train", 0, make_snapshots())
         # Below the batch threshold: the row is not indexed before flush.
@@ -110,7 +110,7 @@ class TestSequentialVsBackground:
         materializer.close()
 
     def test_batch_size_one_commits_without_flush(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", codec="raw")
+        store = CheckpointStore(tmp_path / "run")
         materializer = create_materializer("spool", store, batch_size=1)
         materializer.submit("train", 0, make_snapshots())
         deadline = time.time() + 10.0
@@ -127,12 +127,12 @@ class TestSequentialVsBackground:
         assertion is a loose factor."""
         payload = make_snapshots(size=2_000_000)
 
-        inline = CheckpointStore(tmp_path / "inline", codec="raw")
+        inline = CheckpointStore(tmp_path / "inline")
         start = time.perf_counter()
         inline.put("train", 0, payload)
         inline_seconds = time.perf_counter() - start
 
-        store = CheckpointStore(tmp_path / "spool", codec="raw")
+        store = CheckpointStore(tmp_path / "spool")
         spool = create_materializer("spool", store)
         spool_seconds, _ = spool.submit("train", 0, payload)
         spool.close()

@@ -101,13 +101,13 @@ class TestBackpressure:
         store = CheckpointStore(tmp_path / "run")
         spool = AsyncSpool(store, workers=1, queue_size=1)
         gate = threading.Event()
-        original = store.backend.write_payload
+        original = store.write_payload
 
-        def slow_write(block_id, execution_index, payload, **kwargs):
+        def slow_write(block_id, execution_index, serialized):
             gate.wait(timeout=10.0)
-            return original(block_id, execution_index, payload, **kwargs)
+            return original(block_id, execution_index, serialized)
 
-        store.backend.write_payload = slow_write
+        store.write_payload = slow_write
         try:
             # First submit occupies the worker, further ones fill the
             # 1-slot queue and then must block until the worker drains it.
@@ -140,14 +140,14 @@ class TestCrashMidSpool:
 
     def test_write_failure_never_indexes_and_is_reported(self, tmp_path):
         store = CheckpointStore(tmp_path / "run")
-        original = store.backend.write_payload
+        original = store.write_payload
 
-        def flaky_write(block_id, execution_index, payload, **kwargs):
+        def flaky_write(block_id, execution_index, serialized):
             if execution_index == 2:
                 raise OSError("disk on fire")
-            return original(block_id, execution_index, payload, **kwargs)
+            return original(block_id, execution_index, serialized)
 
-        store.backend.write_payload = flaky_write
+        store.write_payload = flaky_write
         spool = AsyncSpool(store, workers=2, batch_size=2)
         for index in range(5):
             spool.submit("train", index, make_snapshots(float(index)))

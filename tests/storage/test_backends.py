@@ -18,7 +18,8 @@ import pytest
 
 import repro
 from repro.config import FlorConfig
-from faultutils import LAYOUTS, make_sharded_run_dir, open_layout_store
+from faultutils import (LAYOUTS, make_sharded_run_dir, open_layout_store,
+                        put_legacy)
 from repro.exceptions import CheckpointNotFoundError, StorageError
 from repro.storage.backends import StorageBackend
 from repro.storage.checkpoint_store import CheckpointStore
@@ -147,9 +148,11 @@ class TestConformance:
         assert store.get("weird/block id!", 0)[0].name == "weights"
 
     def test_uncompressed(self, tmp_path, backend_name):
-        store = open_layout_store(tmp_path / "raw", backend_name,
-                                  codec="raw")
-        record = store.put("train", 0, make_snapshots())
+        store = open_layout_store(tmp_path / "raw", backend_name)
+        incompressible = np.random.default_rng(0).standard_normal(
+            8192).astype(np.float32)
+        record = store.put("train", 0,
+                           [snapshot_value("weights", incompressible)])
         stored = store.backend.read_payload(str(record.path))
         assert codec_of(stored) == "raw"
         # The raw codec only frames: stored = raw bytes + a small header.
@@ -212,14 +215,13 @@ class TestDedupConformance:
         assert record.payload_digest == record.digest
         assert store.describe("train", 0).payload_digest == record.digest
 
-    def test_dedup_disabled_keeps_legacy_layout(self, tmp_path,
+    def test_legacy_rows_stay_outside_refcounts(self, tmp_path,
                                                 backend_name):
-        store = open_layout_store(tmp_path / "plain", backend_name,
-                                  dedup=False)
-        record = store.put("train", 0, make_snapshots(1.0))
-        store.put("train", 1, make_snapshots(1.0))
-        assert store.backend.object_store() is None
+        store = open_layout_store(tmp_path / "plain", backend_name)
+        record = put_legacy(store, "train", 0, make_snapshots(1.0))
+        put_legacy(store, "train", 1, make_snapshots(1.0))
         assert record.payload_digest == ""
+        assert store.describe("train", 0).is_legacy_payload()
         assert store.backend.referenced_digests() == {}
         # Two identical payloads, two physical copies (the legacy deal).
         assert store.get("train", 0)[0].name == "weights"
@@ -227,13 +229,16 @@ class TestDedupConformance:
         store.close()
 
     def test_dedup_store_reads_legacy_run(self, tmp_path, backend_name):
-        legacy = open_layout_store(tmp_path / "run2", backend_name,
-                                   dedup=False)
-        legacy.put("train", 0, make_snapshots(8.0))
+        legacy = open_layout_store(tmp_path / "run2", backend_name)
+        put_legacy(legacy, "train", 0, make_snapshots(8.0))
         legacy.close()
-        reopened = CheckpointStore(tmp_path / "run2", dedup=True)
+        reopened = CheckpointStore(tmp_path / "run2")
         np.testing.assert_allclose(reopened.get("train", 0)[0].payload,
                                    np.full(64, 8.0))
+        # New rows next to the legacy one go to the object store.
+        record = reopened.put("train", 1, make_snapshots(9.0))
+        assert record.payload_digest == record.digest
+        assert reopened.describe("train", 0).is_legacy_payload()
 
     def test_cross_run_dedup_under_one_home(self, tmp_path, backend_name):
         store_a = open_layout_store(tmp_path / "run-a", backend_name)

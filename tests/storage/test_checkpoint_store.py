@@ -9,9 +9,12 @@ import pytest
 
 from repro.exceptions import (CheckpointNotFoundError, SerializationError,
                               StorageError)
+from faultutils import put_legacy
+from repro.config import FlorConfig
 from repro.storage.checkpoint_store import CheckpointStore
-from repro.storage.compression import codec_of
-from repro.storage.serializer import snapshot_value
+from repro.storage.chunking import chunk_spans
+from repro.storage.compression import codec_of, compress
+from repro.storage.serializer import payload_segments, snapshot_value
 
 
 def make_snapshots(value: float = 1.0):
@@ -50,14 +53,16 @@ class TestCheckpointRoundtrip:
         assert store.totals().checkpoints == 1
 
     def test_uncompressed_store(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", codec="raw")
-        record = store.put("train", 0, make_snapshots())
+        store = CheckpointStore(tmp_path / "run")
+        noise = np.random.default_rng(0).standard_normal(8192)
+        record = store.put("train", 0, [
+            snapshot_value("weights", noise.astype(np.float32))])
         assert codec_of(store.backend.read_payload(str(record.path))) == "raw"
         assert record.stored_nbytes > record.raw_nbytes  # frame header only
         assert store.get("train", 0)[0].name == "weights"
 
     def test_compression_shrinks_redundant_payloads(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run", codec="gzip")
+        store = CheckpointStore(tmp_path / "run")
         record = store.put("train", 0, make_snapshots(0.0))
         assert record.stored_nbytes < record.raw_nbytes
 
@@ -66,13 +71,20 @@ class TestReadVerifiesDigest:
     """Every read checks the manifest digest, whole rows included."""
 
     @pytest.mark.parametrize("layout", [
-        {"chunking": "off"}, {"dedup": False},
-        {"chunking": "fixed", "chunk_nbytes": 1024}])
+        {"chunking": "off"}, {"legacy": True},
+        {"chunking": "fixed", "chunk_nbytes": 16384}])
     def test_flipped_byte_is_an_error_not_wrong_weights(self, tmp_path,
                                                         layout):
-        store = CheckpointStore(tmp_path / "run", codec="raw", **layout)
-        weights = np.arange(4096, dtype=np.float32)
-        record = store.put("train", 0, [snapshot_value("weights", weights)])
+        layout = dict(layout)
+        legacy = layout.pop("legacy", False)
+        store = CheckpointStore(tmp_path / "run", **layout)
+        # Float noise: every blob is raw-framed, so the flipped byte
+        # reaches the digest check rather than a decoder's own check.
+        weights = np.random.default_rng(0).standard_normal(
+            16384).astype(np.float32)
+        snapshots = [snapshot_value("weights", weights)]
+        record = (put_legacy(store, "train", 0, snapshots) if legacy
+                  else store.put("train", 0, snapshots))
         if record.is_chunked():
             blob = store.backend.object_store().blob_path(
                 record.recipe_digests()[-1])
@@ -86,9 +98,11 @@ class TestReadVerifiesDigest:
             CheckpointStore(tmp_path / "run").get("train", 0)
 
     def test_intact_whole_rows_still_read(self, tmp_path):
-        for options in ({"chunking": "off"}, {"dedup": False}):
-            store = CheckpointStore(tmp_path / str(options), **options)
-            store.put("train", 0, make_snapshots(2.0))
+        whole = CheckpointStore(tmp_path / "whole", chunking="off")
+        whole.put("train", 0, make_snapshots(2.0))
+        legacy = CheckpointStore(tmp_path / "legacy")
+        put_legacy(legacy, "train", 0, make_snapshots(2.0))
+        for store in (whole, legacy):
             np.testing.assert_allclose(store.get("train", 0)[0].payload,
                                        np.full(16, 2.0))
 
@@ -175,3 +189,19 @@ class TestMetadataAndSources:
         assert reopened.get_metadata("run_id") == "abc"
         np.testing.assert_allclose(reopened.get("train", 0)[0].payload,
                                    np.full(16, 5.0))
+
+
+def test_perfbench_layer_pass_seams(tmp_path):
+    """What perfbench's traced layer pass still calls on the write path:
+    ``resolve_codec``, ``FlorConfig.codec_level``, ``compress(codec=)``
+    with ``"gzip"`` / ``"raw"`` and ``chunk_spans(mode="off")``."""
+    config = FlorConfig(home=tmp_path)
+    store = CheckpointStore.for_config(config.run_dir("direct"), config)
+    assert config.codec_level is None
+    assert store.resolve_codec(1 << 20) == "gzip"
+    data = bytes(64 * 1024)
+    assert compress(data, level=config.codec_level,
+                    codec=store.resolve_codec(len(data))).codec == "gzip"
+    assert compress(data, codec="raw").codec == "raw"
+    assert chunk_spans(data, mode="off", chunk_nbytes=config.chunk_nbytes,
+                       segments=payload_segments(data)) == [(0, len(data))]

@@ -3,11 +3,11 @@
 Four layers of coverage for the chunked (delta) storage plane:
 
 * chunk planning — :func:`chunk_spans` edge cases: empty payloads,
-  payloads smaller than one chunk, exact coverage, segment restarts,
-  CDC determinism and locality (an edit disturbs only nearby chunks);
+  payloads smaller than one chunk, exact coverage, segment restarts;
 * store semantics — epoch N+1 of a mostly-frozen model stores only the
-  changed chunks; the knobs (``chunk_nbytes``, mode, codec) can change
-  between epochs of one run because reads follow the manifest row;
+  changed chunks; the knobs (``chunk_nbytes``, mode) can change between
+  epochs of one run, and blobs older versions framed differently still
+  dedup, because reads follow the manifest row and the frame id;
 * failure reporting — a missing or corrupted chunk surfaces as a
   :class:`SerializationError` naming the exact chunk, never as silent
   wrong bytes;
@@ -19,7 +19,9 @@ Four layers of coverage for the chunked (delta) storage plane:
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +30,12 @@ from faultutils import (LAYOUTS, InjectedCrash, assert_crash_consistent,
                         assert_no_orphans, assert_refcounts_exact,
                         crash_calls, open_layout_store)
 from repro.exceptions import SerializationError, StorageError
+from repro.storage.backends import CheckpointRecord
 from repro.storage.checkpoint_store import RECIPE_LOCATION_PREFIX
 from repro.storage.chunking import chunk_payload, chunk_spans
-from repro.storage.serializer import (payload_segments, restore_value,
+from repro.storage.compression import FRAME_MAGIC, compress, decompress
+from repro.storage.serializer import (deserialize_checkpoint,
+                                      payload_segments, restore_value,
                                       serialize_checkpoint, snapshot_value)
 from repro.utils.hashing import digest_bytes
 
@@ -71,15 +76,15 @@ def model_snapshots(head_value: float, *, backbone_seed: int = 0,
 class TestChunkSpans:
     def test_empty_payload_has_no_chunks(self):
         assert chunk_spans(b"", mode="fixed", chunk_nbytes=CHUNK) == []
-        assert chunk_spans(b"", mode="cdc", chunk_nbytes=CHUNK) == []
+        assert chunk_spans(b"", mode="off", chunk_nbytes=CHUNK) == []
 
     def test_payload_smaller_than_one_chunk_is_one_span(self):
         data = b"tiny"
-        for mode in ("fixed", "cdc"):
+        for mode in ("fixed", "off"):
             assert chunk_spans(data, mode=mode, chunk_nbytes=CHUNK) \
                 == [(0, len(data))]
 
-    @pytest.mark.parametrize("mode", ["fixed", "cdc"])
+    @pytest.mark.parametrize("mode", ["fixed", "off"])
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1,
                                    5 * CHUNK + 17])
     def test_spans_cover_payload_exactly_in_order(self, mode, n):
@@ -97,8 +102,11 @@ class TestChunkSpans:
             == [(0, len(data))]
 
     def test_unknown_mode_raises(self):
-        with pytest.raises(StorageError, match="chunking mode"):
-            chunk_spans(b"x", mode="rolling", chunk_nbytes=CHUNK)
+        # Content-defined chunking is gone from the write side; recipes it
+        # cut still read (see test_legacy_layouts).
+        for mode in ("rolling", "cdc"):
+            with pytest.raises(StorageError, match="chunking mode"):
+                chunk_spans(b"x", mode=mode, chunk_nbytes=CHUNK)
 
     def test_fixed_restarts_at_segment_boundaries(self):
         # Two segments that are not multiples of the chunk size: boundaries
@@ -131,47 +139,6 @@ class TestChunkSpans:
             chunk_spans(bytes(100), mode="fixed", chunk_nbytes=CHUNK,
                         segments=[(0, 8), (50, 50)])
 
-    def test_cdc_is_deterministic(self):
-        data = np.random.default_rng(7).bytes(40 * CHUNK)
-        first = chunk_spans(data, mode="cdc", chunk_nbytes=CHUNK)
-        second = chunk_spans(data, mode="cdc", chunk_nbytes=CHUNK)
-        assert first == second
-        assert len(first) > 1
-
-    def test_cdc_respects_size_bounds(self):
-        data = np.random.default_rng(11).bytes(64 * CHUNK)
-        spans = chunk_spans(data, mode="cdc", chunk_nbytes=CHUNK)
-        lengths = [length for _, length in spans]
-        # Every chunk except the segment-final remainder obeys the bounds.
-        assert all(length >= CHUNK // 4 for length in lengths[:-1])
-        assert all(length <= CHUNK * 4 for length in lengths)
-
-    def test_cdc_edit_disturbs_only_nearby_chunks(self):
-        """The CDC property fixed chunking lacks: locality under insertion.
-
-        Inserting bytes near the front shifts every fixed boundary after
-        it (no chunk downstream dedups); content-defined boundaries
-        resynchronize, so most chunk digests survive the edit.
-        """
-        rng = np.random.default_rng(3)
-        original = rng.bytes(100 * CHUNK)
-        edited = original[:5000] + b"\x00" * 37 + original[5000:]
-
-        def digest_set(data):
-            return {digest_bytes(view)
-                    for view in chunk_payload(data, mode="cdc",
-                                              chunk_nbytes=CHUNK)}
-
-        before, after = digest_set(original), digest_set(edited)
-        assert len(before & after) / len(before) > 0.8
-
-        fixed_before = {digest_bytes(v) for v in chunk_payload(
-            original, mode="fixed", chunk_nbytes=CHUNK)}
-        fixed_after = {digest_bytes(v) for v in chunk_payload(
-            edited, mode="fixed", chunk_nbytes=CHUNK)}
-        # The contrast: fixed boundaries all shift after the insertion.
-        assert len(fixed_before & fixed_after) / len(fixed_before) < 0.2
-
     def test_serializer_segments_align_tensor_chunks(self):
         """An unchanged tensor chunks identically when a neighbour grows."""
         rng = np.random.default_rng(0)
@@ -196,7 +163,7 @@ class TestChunkSpans:
 # Store semantics: delta writes, knob changes, cross-layout reads
 # --------------------------------------------------------------------------- #
 class TestDeltaWrites:
-    @pytest.mark.parametrize("mode", ["fixed", "cdc"])
+    @pytest.mark.parametrize("mode", ["fixed"])
     def test_epoch_deltas_store_only_changed_chunks(self, home, backend_name,
                                                     mode):
         store = open_store(home, backend_name, chunking=mode)
@@ -246,29 +213,68 @@ class TestDeltaWrites:
         record = legacy.backend.lookup("train", 1)
         assert not record.is_chunked()
         legacy.close()
-        # A chunking-off store reads the chunked row; a cdc store reads
-        # both the chunked-fixed and the whole row.
+        # A chunking-off store reads the chunked row; a fixed store reads
+        # both the chunked and the whole row.
         reader = open_store(home, backend_name, chunking="off")
         assert {s.name: s.payload for s in reader.get("train", 0)}[
             "epoch"] == 0.0
         reader.close()
-        reader = open_store(home, backend_name, chunking="cdc")
+        reader = open_store(home, backend_name, chunking="fixed")
         for index in (0, 1):
             assert {s.name: s.payload for s in reader.get("train", index)}[
                 "epoch"] == float(index)
 
     def test_uncompressed_store_frames_chunks_raw(self, home, backend_name):
-        """Chunk digests address raw bytes, so dedup crosses codec settings."""
-        plain = open_store(home, backend_name, codec="raw")
+        """Chunk digests address raw bytes, so dedup crosses framings.
+
+        Older versions could frame every chunk raw (``codec="raw"``); a
+        store today finds those blobs already present and writes nothing.
+        """
+        plain = open_store(home, backend_name)
         first = plain.put("train", 0, model_snapshots(0.0))
-        gzipped = open_store(home, backend_name, run="run-b", codec="gzip")
+        objects = plain.backend.object_store()
+        for digest in set(first.recipe_digests()):
+            blob = objects.blob_path(digest)
+            blob.write_bytes(FRAME_MAGIC + b"\x00"
+                             + bytes(decompress(blob.read_bytes())))
+        held = objects.stats()
+        gzipped = open_store(home, backend_name, run="run-b")
         second = gzipped.put("train", 0, model_snapshots(0.0))
         assert first.recipe_digests() == second.recipe_digests()
-        # The uncompressed store wrote every blob; the gzip store found
-        # them all already present and stored nothing new.
-        assert second.stored_nbytes == first.stored_nbytes
+        assert objects.stats().total_nbytes == held.total_nbytes
+        assert second.stored_nbytes == sum(
+            objects.blob_path(digest).stat().st_size
+            for digest in second.recipe_digests())
         restored = {s.name: s for s in gzipped.get("train", 0)}
         assert restored["epoch"].payload == 0.0
+
+    def test_uneven_recipe_reads_on_every_layout(self, home, backend_name):
+        """A recipe cut at uneven, content-defined lengths — as the "cdc"
+        chunker older versions shipped wrote them — reads bit-exactly, and
+        its chunks count as references, on every layout."""
+        store = open_store(home, backend_name)
+        payload = serialize_checkpoint(model_snapshots(2.0)).data
+        cuts = [0, 37, 5000, 5011, 20000, len(payload)]
+        chunks = [payload[a:b] for a, b in zip(cuts, cuts[1:])]
+        objects = store.backend.object_store()
+        for chunk in chunks:
+            objects.put(digest_bytes(chunk), compress(chunk).data)
+        digests = [digest_bytes(chunk) for chunk in chunks]
+        store.index_records([CheckpointRecord(
+            block_id="train", execution_index=0,
+            path=Path(f"{RECIPE_LOCATION_PREFIX}{len(chunks)}"),
+            raw_nbytes=len(payload), stored_nbytes=sum(
+                objects.blob_path(d).stat().st_size for d in digests),
+            digest=digest_bytes(payload), serialize_seconds=0.0,
+            write_seconds=0.0, created_at=time.time(),
+            recipe=",".join(digests))])
+        assert store.backend.referenced_digests() == dict.fromkeys(
+            digests, 1)
+        restored = {s.name: s for s in store.get("train", 0)}
+        assert restored["epoch"].payload == 2.0
+        assert (serialize_checkpoint(store.get("train", 0)).data
+                == serialize_checkpoint(deserialize_checkpoint(payload)).data)
+        assert_no_orphans(home)
 
     def test_empty_snapshot_list_roundtrips(self, home, backend_name):
         store = open_store(home, backend_name)
@@ -305,7 +311,7 @@ class TestChunkFailures:
 
     def test_swapped_chunk_content_fails_digest_check(self, home):
         """A decodable-but-wrong blob is caught by the per-chunk digest."""
-        store = open_store(home, "local", codec="raw")
+        store = open_store(home, "local")
         record = store.put("train", 0, model_snapshots(0.0))
         digests = record.recipe_digests()
         objects = store.backend.object_store()

@@ -9,32 +9,41 @@ current writer happens to produce.  Three schemas:
   payload is a bare-gzip ``checkpoints/<block>/<i>.ckpt`` file;
 * **pre-chunking** — adds ``payload_digest`` (no ``recipe``); one row
   points into the home-shared object store, one at a legacy file;
-* **current** — adds ``recipe``: one row per block is chunked (gzip-framed
-  chunk blobs in ``objects/``), the other is an unframed whole payload as
+* **current** — adds ``recipe``.  Per block: a chunked row (gzip-framed
+  chunk blobs in ``objects/``); an unframed whole payload as
   ``compress_checkpoints=False`` wrote it, once in the object store and
-  once as a legacy file.
+  once as a legacy file; a recipe cut at uneven, content-defined-style
+  lengths whose blobs are framed zlib and lzma (frame ids 2 and 3), as
+  ``chunking="cdc"`` with ``codec="zlib"`` / ``"lzma"`` wrote them; and
+  a raw-framed whole row (frame id 0), as ``codec="raw"`` wrote it.  No
+  current writer produces the last two.
 
 Each is laid out both as ``local`` and as ``sharded`` (``shards.json``
 plus one manifest per shard; no current version creates one).  Reopening
 through
 :class:`~repro.storage.checkpoint_store.CheckpointStore` must migrate the
-columns in place, serve every checkpoint bit-exactly, and survive a GC
-sweep that leaves the legacy files alone.
+columns in place, serve every checkpoint bit-exactly, survive a GC sweep
+that leaves the legacy files alone, and survive a prune + GC that deletes
+the pruned rows' legacy files and blobs and nothing still referenced.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+import lzma
 import sqlite3
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from faultutils import assert_no_orphans
 from repro.storage.checkpoint_store import CheckpointStore
-from repro.storage.compression import FRAME_MAGIC, decompress
-from repro.storage.lifecycle import collect_garbage
+from repro.storage.compression import FRAME_MAGIC, codec_of, decompress
+from repro.storage.lifecycle import (RetentionPolicy, collect_garbage,
+                                     measure_storage, prune_store)
 from repro.storage.serializer import (deserialize_checkpoint,
                                      serialize_checkpoint, snapshot_value)
 from repro.utils.hashing import digest_bytes, stable_hash
@@ -68,6 +77,22 @@ WIDTHS = {"pre-dedup": 9, "pre-chunking": 10, "current": 11}
 #: Frame of a gzip chunk blob: magic, then the codec id byte (gzip = 1).
 _GZIP_FRAME = FRAME_MAGIC + bytes([1])
 
+#: Frames only older versions wrote, by frame id: raw (0), zlib (2) and
+#: lzma (3).
+_RAW_FRAME = FRAME_MAGIC + bytes([0])
+_OLD_CHUNK_FRAMES = (
+    lambda chunk: FRAME_MAGIC + bytes([2]) + zlib.compress(chunk, 6),
+    lambda chunk: FRAME_MAGIC + bytes([3]) + lzma.compress(chunk, preset=1),
+)
+
+#: Uneven chunk lengths, as a content-defined chunker cut them; the last
+#: chunk takes the remainder.
+_UNEVEN_CUTS = (37, 101, 11, 64)
+
+#: Executions per block: the ``current`` schema adds the two rows only
+#: older writers produced.
+INDICES = {"pre-dedup": 2, "pre-chunking": 2, "current": 4}
+
 # Two blocks that the sha256 partitioner sends to different shards, so the
 # sharded home really holds rows in more than one manifest.
 BLOCKS = ("train", "test")
@@ -100,6 +125,37 @@ def _write_manifest(db_path: Path, schema: str, rows: list[tuple],
     conn.close()
 
 
+def _write_blob(home: Path, digest: str, blob: bytes) -> Path:
+    path = home / "objects" / digest[:2] / digest
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(blob)
+    return path
+
+
+def _chunked_row(home: Path, block: str, index: int, raw: bytes,
+                 chunks: list[bytes], frames) -> tuple:
+    """A chunked row: chunk digests address raw chunk bytes, blobs are
+    frames, the row digest covers the joined raw payload, and the path
+    names no file."""
+    assert b"".join(chunks) == raw
+    for position, chunk in enumerate(chunks):
+        _write_blob(home, digest_bytes(chunk),
+                    frames[position % len(frames)](chunk))
+    recipe = ",".join(digest_bytes(chunk) for chunk in chunks)
+    return (block, index, f"recipe:{len(chunks)}", len(raw),
+            sum(len(c) for c in chunks), digest_bytes(raw),
+            0.001, 0.001, 1_600_000_000.0 + index, "", recipe)
+
+
+def _uneven_chunks(raw: bytes) -> list[bytes]:
+    chunks, start = [], 0
+    for length in _UNEVEN_CUTS:
+        chunks.append(raw[start:start + length])
+        start += length
+    assert start < len(raw)
+    return chunks + [raw[start:]]
+
+
 def build_legacy_home(home: Path, schema: str, layout: str) -> dict:
     """Lay out one old-schema run; returns ``(block, index) -> raw bytes``.
 
@@ -125,27 +181,29 @@ def build_legacy_home(home: Path, schema: str, layout: str) -> dict:
     expected: dict[tuple[str, int], bytes] = {}
     rows_by_shard: dict[int, list[tuple]] = {}
     for offset, block in enumerate(BLOCKS):
-        for index in range(2):
+        for index in range(INDICES[schema]):
             raw = _serialized(float(10 * offset + index))
             shard = shard_of(block)
             recipe = ""
-            if schema == "current" and index == 0:
-                # A chunked row: chunk digests address raw chunk bytes,
-                # each blob is a gzip frame, the row digest covers the
-                # joined raw payload, and the path names no file.
-                chunks = [raw[:len(raw) // 2], raw[len(raw) // 2:]]
-                for chunk in chunks:
-                    blob = (home / "objects" / digest_bytes(chunk)[:2]
-                            / digest_bytes(chunk))
-                    blob.parent.mkdir(parents=True, exist_ok=True)
-                    blob.write_bytes(_GZIP_FRAME
-                                     + gzip.compress(chunk, mtime=0))
-                recipe = ",".join(digest_bytes(chunk) for chunk in chunks)
+            expected[(block, index)] = raw
+            if schema == "current" and index in (0, 2):
+                if index == 0:  # gzip-framed halves
+                    chunks = [raw[:len(raw) // 2], raw[len(raw) // 2:]]
+                    frames = [lambda c: _GZIP_FRAME + gzip.compress(
+                        c, mtime=0)]
+                else:  # uneven content-defined-style cuts, zlib / lzma
+                    chunks, frames = _uneven_chunks(raw), _OLD_CHUNK_FRAMES
+                rows_by_shard.setdefault(shard, []).append(_chunked_row(
+                    home, block, index, raw, chunks, frames))
+                continue
+            if schema == "current" and index == 3:
+                # A raw-framed whole row in the object store.
+                stored = _RAW_FRAME + raw
+                digest = digest_bytes(stored)
+                path = _write_blob(home, digest, stored)
                 rows_by_shard.setdefault(shard, []).append(
-                    (block, index, f"recipe:{len(chunks)}", len(raw),
-                     sum(len(c) for c in chunks), digest_bytes(raw),
-                     0.001, 0.001, 1_600_000_000.0 + index, "", recipe))
-                expected[(block, index)] = raw
+                    (block, index, str(path), len(raw), len(stored), digest,
+                     0.001, 0.001, 1_600_000_000.0 + index, digest, ""))
                 continue
             # Whole rows digest the stored bytes; ``current`` stores them
             # unframed, as an uncompressed store wrote them.
@@ -168,7 +226,6 @@ def build_legacy_home(home: Path, schema: str, layout: str) -> dict:
                 (block, index, str(path), len(raw), len(stored), digest,
                  0.001, 0.001, 1_600_000_000.0 + index, payload_digest,
                  recipe))
-            expected[(block, index)] = raw
     for shard, shard_dir in enumerate(shard_dirs):
         metadata = {"run_id": "legacy-run", "loop_blocks": list(BLOCKS)}
         _write_manifest(shard_dir / "manifest.sqlite", schema,
@@ -240,9 +297,75 @@ def test_old_schema_home_reopens_migrates_and_survives_gc(
 
         # The migrated manifest takes new rows next to the old ones.
         store.put("train", 7, [snapshot_value("epoch", 7)])
-        assert store.executions("train") == [0, 1, 7]
+        assert store.executions("train") == [*range(INDICES[schema]), 7]
     finally:
         store.close()
+
+
+def _blob_frames(home: Path) -> set:
+    return {codec_of(path.read_bytes())
+            for path in (home / "objects").rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("layout", ["local", "sharded"])
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+def test_old_schema_home_survives_prune_and_gc(tmp_path, schema, layout):
+    """Prune + GC delete what pruned rows alone held, and nothing else."""
+    home = tmp_path / "home"
+    expected = build_legacy_home(home, schema, layout)
+    run_dir = home / "legacy-run"
+    if schema == "current":
+        # Every frame id the read side knows is on disk.
+        assert _blob_frames(home) == {None, "raw", "gzip", "zlib", "lzma"}
+    store = CheckpointStore(run_dir)
+    try:
+        before = {(r.block_id, r.execution_index): r
+                  for r in store.records()}
+        keep = INDICES[schema] // 2
+        report = prune_store(store, RetentionPolicy(keep_last_n=keep))
+        pruned = set(report.pruned_keys)
+        assert pruned == {key for key in expected if key[1] < keep}
+        legacy_pruned = [before[key].path for key in pruned
+                         if before[key].is_legacy_payload()]
+        assert report.legacy_payload_nbytes_freed > 0
+        collect_garbage(home, grace_seconds=0.0,
+                        release_hints=report.released_digests)
+        # The pruned rows' legacy files went with them; every survivor's
+        # legacy file and blob is still there, and no blob is unreferenced.
+        assert legacy_pruned and not any(p.exists() for p in legacy_pruned)
+        for key, record in before.items():
+            if key not in pruned and record.is_legacy_payload():
+                assert record.path.exists(), key
+        assert_no_orphans(home)
+        fresh = CheckpointStore(run_dir)
+        try:
+            assert {(r.block_id, r.execution_index)
+                    for r in fresh.records()} == set(expected) - pruned
+            for key in set(expected) - pruned:
+                assert (serialize_checkpoint(fresh.get(*key)).data
+                        == serialize_checkpoint(
+                            deserialize_checkpoint(expected[key])).data), key
+        finally:
+            fresh.close()
+        if schema == "current":
+            # The survivors are the zlib / lzma recipe and the raw row.
+            assert {"raw", "zlib", "lzma"} <= _blob_frames(home)
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("layout", ["local", "sharded"])
+def test_legacy_only_home_counts_its_files_as_physical(tmp_path, layout):
+    """A home that stores every checkpoint in full costs its full size."""
+    home = tmp_path / "home"
+    build_legacy_home(home, "pre-dedup", layout)
+    files = sorted((home / "legacy-run").rglob("*.ckpt"))
+    stats = measure_storage(home)
+    assert stats.checkpoints == len(files)
+    assert stats.physical_objects == len(files)
+    assert stats.physical_nbytes == sum(p.stat().st_size for p in files)
+    assert stats.legacy_nbytes == stats.logical_nbytes > 0
+    assert stats.dedup_ratio == 1.0
 
 
 @pytest.mark.parametrize("layout", ["local", "sharded"])

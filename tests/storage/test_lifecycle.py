@@ -23,7 +23,7 @@ import pytest
 
 from faultutils import (LAYOUTS, InjectedCrash, assert_crash_consistent,
                         assert_manifest_closed, assert_no_orphans,
-                        crash_calls, open_layout_store)
+                        crash_calls, open_layout_store, put_legacy)
 from repro.exceptions import StorageError
 from repro.storage.lifecycle import (LifecycleManager, RetentionPolicy,
                                      collect_garbage, measure_storage,
@@ -154,6 +154,31 @@ class TestPruneAndGC:
         after = measure_storage(home)
         assert after.physical_objects == 2
         assert_crash_consistent(store, home)
+
+    def test_storage_stats_count_legacy_files_and_blobs(self, home,
+                                                        backend_name):
+        """Physical bytes are what the home holds: blobs plus the legacy
+        per-execution files older versions wrote beside them."""
+        store = open_store(home, backend_name)
+        blob = store.put("train", 0, make_snapshots(1.0))
+        legacy = [put_legacy(store, "train", index, make_snapshots(1.0))
+                  for index in (1, 2)]
+        stats = measure_storage(home)
+        assert stats.physical_objects == 3
+        assert stats.physical_nbytes == blob.stored_nbytes + sum(
+            record.path.stat().st_size for record in legacy)
+        # Two identical payloads as legacy files cost two copies; nothing
+        # is shared, so logical equals physical.
+        assert stats.legacy_nbytes == sum(r.stored_nbytes for r in legacy)
+        assert stats.dedup_ratio == 1.0
+        # A second run referencing the same blob doubles logical bytes only.
+        open_store(home, backend_name, "run-b").put(
+            "train", 0, make_snapshots(1.0))
+        shared = measure_storage(home)
+        assert shared.physical_nbytes == stats.physical_nbytes
+        assert shared.dedup_ratio == pytest.approx(
+            (stats.logical_nbytes + blob.stored_nbytes)
+            / stats.physical_nbytes)
 
     def test_gc_mark_pass_writes_nothing_into_run_dirs(self, home,
                                                         backend_name):

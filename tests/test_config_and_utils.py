@@ -20,7 +20,7 @@ class TestConfig:
         config = FlorConfig()
         assert config.epsilon == pytest.approx(1 / 15)
         assert config.adaptive_checkpointing
-        assert config.codec == "gzip"
+        assert config.chunking == "fixed"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -33,8 +33,9 @@ class TestConfig:
     def test_validate_names_the_knob_and_its_choices(self):
         with pytest.raises(ConfigError, match=r"chunking must be one of"):
             FlorConfig(chunking="fixd")
-        with pytest.raises(ConfigError, match=r"codec must be one of"):
-            FlorConfig(codec="zstd")
+        with pytest.raises(ConfigError,
+                           match=r"chunking must be one of \('off', 'fixed'\)"):
+            FlorConfig(chunking="cdc")
 
     def test_validate_rejects_non_positive_counts(self):
         for knob in ("spool_workers", "spool_queue_size",
@@ -92,8 +93,7 @@ def test_knob_census():
     """Every ``FlorConfig`` knob by name, so adding or removing one shows."""
     assert sorted(field.name for field in dataclasses.fields(FlorConfig)) == [
         "adaptive_checkpointing",
-        "chunk_nbytes", "chunking", "codec", "codec_level",
-        "dedup", "epsilon",
+        "chunk_nbytes", "chunking", "epsilon",
         "gc_interval", "home", "manifest_batch_size", "query_memoize",
         "query_workers", "retention_policy", "scaling_factor",
         "service_drain_seconds", "service_queue_size", "service_workers",
@@ -107,6 +107,15 @@ def test_background_materialization_is_not_a_knob():
     with pytest.raises(TypeError, match="background_materialization"):
         FlorConfig(background_materialization="fork")
     assert FlorConfig().background_materialization == "spool"
+
+
+@pytest.mark.parametrize("knob", [{"dedup": False}, {"codec": "lzma"},
+                                  {"codec_level": 1}])
+def test_storage_layout_and_encoding_are_not_knobs(knob):
+    """Where a checkpoint goes and how it is encoded is the store's call."""
+    with pytest.raises(TypeError, match=next(iter(knob))):
+        FlorConfig(**knob)
+    assert FlorConfig().codec_level is None
 
 
 def test_record_export_census():
@@ -126,20 +135,18 @@ def test_storage_export_census():
     One concrete ``StorageBackend`` over one ``FileObjectStore`` serves
     every layout; the layout names, the backend resolver and the
     object-store interface are gone and must not come back as exports.
+    Only names product code, docs, examples or benchmarks use are
+    exported; tests import the rest from their submodules.
     """
     import repro.storage
     assert sorted(repro.storage.__all__) == [
-        "AsyncSpool", "AsyncSpoolStats", "CheckpointRecord",
-        "CheckpointStore", "CompressionResult", "FileObjectStore",
-        "GCReport", "GiB", "INSTANCE_PRICES", "InstanceType",
-        "LifecycleManager", "ObjectStoreStats", "PruneReport",
-        "RetentionPolicy",
-        "S3_PRICE_PER_GB_MONTH", "SerializedCheckpoint", "StorageBackend",
-        "StorageStats", "ValueSnapshot", "collect_garbage", "compress",
-        "compression_ratio", "compute_cost", "decompress",
-        "deserialize_checkpoint", "gb", "measure_storage", "plan_retention",
-        "prune_store", "restore_value", "retire_run",
-        "serialize_checkpoint", "snapshot_value", "storage_cost_per_month",
+        "AsyncSpool", "CheckpointStore", "GCReport", "INSTANCE_PRICES",
+        "InstanceType", "LifecycleManager", "PruneReport",
+        "RetentionPolicy", "StorageBackend", "StorageStats", "ValueSnapshot",
+        "collect_garbage", "compress", "decompress",
+        "deserialize_checkpoint", "measure_storage", "prune_store",
+        "restore_value", "retire_run", "serialize_checkpoint",
+        "snapshot_value", "storage_cost_per_month",
     ]
     for name in repro.storage.__all__:
         assert hasattr(repro.storage, name), name
